@@ -22,13 +22,9 @@ from itertools import combinations
 
 import networkx as nx
 
-from .core import Edge, Hypergraph, cmp_log, is_bounded, log_size, pow_floor, vertex_fiber
+from .core import Edge, Hypergraph, cmp_log, codegrees, log_size, pow_floor, vertex_fiber
 
 DEFAULT_EXACT_CAP = 24
-
-# size memo: (n, k, edges, delta) -> |H|_delta.  First-writer-wins with
-# identical values, so concurrent access is harmless.
-_size_memo: dict[tuple, int] = {}
 
 
 class OracleSizeError(RuntimeError):
@@ -52,43 +48,57 @@ def _level_caps(hp: Hypergraph, delta: float) -> dict[int, int]:
     return {ell: pow_floor(hp.n, (hp.k - ell) * delta) for ell in range(1, hp.k)}
 
 
-def _bmatching_max(edges: list[Edge], cap: int) -> int:
-    """Max number of edges of a simple graph keepable with all degrees <= cap."""
-    if cap <= 0 or not edges:
+def _vertex_caps(hp: Hypergraph, delta: float) -> dict[int, int]:
+    """2-uniform hp: the degree cap of every covered vertex."""
+    return dict.fromkeys(hp.covered_vertices(), _level_caps(hp, delta)[1])
+
+
+def _bmatching(edges: list[Edge], caps: dict[int, int]) -> int:
+    """Max number of edges of a simple graph keepable with every vertex v
+    in at most caps[v] of them."""
+    edges = [e for e in edges if caps[e[0]] > 0 and caps[e[1]] > 0]
+    if not edges:
         return 0
-    touched = sorted({v for e in edges for v in e})
-    caps = {v: min(cap, sum(1 for e in edges if v in e)) for v in touched}
+    deg = codegrees(edges, 1)
     g = nx.Graph()
     for idx, (u, v) in enumerate(edges):
         eu, ev = ("e", idx, 0), ("e", idx, 1)
         g.add_edge(eu, ev)
-        for i in range(caps[u]):
+        for i in range(min(caps[u], deg[(u,)])):
             g.add_edge(eu, ("v", u, i))
-        for i in range(caps[v]):
+        for i in range(min(caps[v], deg[(v,)])):
             g.add_edge(ev, ("v", v, i))
     matching = nx.max_weight_matching(g, maxcardinality=True)
     return len(matching) - len(edges)
 
 
-def _bnb_max(edges: list[Edge], caps: dict[int, int], find_witness: bool):
+def _subsets(e: Edge, caps: dict[int, int]) -> list[tuple[Edge, int]]:
+    """Every subset of edge e at a capped level, paired with its cap."""
+    return [(u, cap) for ell, cap in caps.items() for u in combinations(e, ell)]
+
+
+def _admit(counts: dict[Edge, int], subs: list[tuple[Edge, int]]) -> bool:
+    """Count an edge in iff none of its subsets is at its cap."""
+    for u, cap in subs:  # a loop, not any(): this is the hot path of gen_random
+        if counts.get(u, 0) >= cap:
+            return False
+    for u, _cap in subs:
+        counts[u] = counts.get(u, 0) + 1
+    return True
+
+
+def _bnb_max(edges: list[Edge], caps: dict[int, int]) -> tuple[Edge, ...]:
     """Branch-and-bound, include-first in canonical order.
 
     Updating the incumbent only on strict improvement makes the first
-    maximum found the lexicographically least one.
-    Returns (size, witness or None).
+    maximum found the lexicographically least one, which is returned.
     """
     m = len(edges)
+    subs = [_subsets(e, caps) for e in edges]
     best_size = 0
     best_witness: tuple[Edge, ...] = ()
     counts: dict[Edge, int] = {}
     chosen: list[Edge] = []
-
-    def fits(e: Edge) -> bool:
-        return all(
-            counts.get(u, 0) < caps[ell]
-            for ell in caps
-            for u in combinations(e, ell)
-        )
 
     def rec(i: int) -> None:
         nonlocal best_size, best_witness
@@ -99,21 +109,16 @@ def _bnb_max(edges: list[Edge], caps: dict[int, int], find_witness: bool):
                 best_size = len(chosen)
                 best_witness = tuple(chosen)
             return
-        e = edges[i]
-        if fits(e):
-            chosen.append(e)
-            for ell in caps:
-                for u in combinations(e, ell):
-                    counts[u] = counts.get(u, 0) + 1
+        if _admit(counts, subs[i]):
+            chosen.append(edges[i])
             rec(i + 1)
-            for ell in caps:
-                for u in combinations(e, ell):
-                    counts[u] -= 1
             chosen.pop()
+            for u, _cap in subs[i]:
+                counts[u] -= 1
         rec(i + 1)
 
     rec(0)
-    return best_size, (best_witness if find_witness else None)
+    return best_witness
 
 
 def max_bounded_size(hp: Hypergraph, delta: float,
@@ -122,22 +127,9 @@ def max_bounded_size(hp: Hypergraph, delta: float,
 
     Raises OracleSizeError for uniformity >= 3 beyond the edge cap.
     """
-    if hp.k == 1 or not hp.edges:
-        return len(hp.edges)
-    key = (hp.n, hp.k, hp.edges, delta)
-    hit = _size_memo.get(key)
-    if hit is not None:
-        return hit
-    if hp.k == 2:
-        cap = pow_floor(hp.n, delta)
-        size = _bmatching_max(list(hp.edges), cap)
-    else:
-        if len(hp.edges) > exact_cap:
-            raise OracleSizeError(
-                f"{len(hp.edges)} edges exceeds exact-mode cap {exact_cap}")
-        size, _ = _bnb_max(list(hp.edges), _level_caps(hp, delta), False)
-    _size_memo[key] = size
-    return size
+    if hp.k == 2 and hp.edges:
+        return _bmatching(list(hp.edges), _vertex_caps(hp, delta))
+    return len(max_bounded_sub(hp, delta, exact_cap))
 
 
 def max_bounded_sub(hp: Hypergraph, delta: float,
@@ -146,52 +138,31 @@ def max_bounded_sub(hp: Hypergraph, delta: float,
     among the maximum witnesses."""
     if hp.k == 1 or not hp.edges:
         return BoundedWitness(hp, delta, True)
-    if hp.k == 2:
-        cap = pow_floor(hp.n, delta)
-        edges = list(hp.edges)
-        target = _bmatching_max(edges, cap)
-        chosen: list[Edge] = []
-        deg: dict[int, int] = {}
-        rest = edges
-        while rest:
-            e, rest = rest[0], rest[1:]
-            u, v = e
-            if deg.get(u, 0) >= cap or deg.get(v, 0) >= cap:
-                continue
-            residual = {w: cap - deg.get(w, 0) for w in range(hp.n)}
-            residual[u] -= 1
-            residual[v] -= 1
-            achievable = 1 + _bmatching_residual(rest, residual)
-            if len(chosen) + achievable >= target:
-                chosen.append(e)
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-                if len(chosen) == target:
-                    break
-        sub = hp.restrict(chosen)
-        return BoundedWitness(sub, delta, True)
-    if len(hp.edges) > exact_cap:
-        raise OracleSizeError(
-            f"{len(hp.edges)} edges exceeds exact-mode cap {exact_cap}")
-    size, witness = _bnb_max(list(hp.edges), _level_caps(hp, delta), True)
-    return BoundedWitness(hp.restrict(witness), delta, True)
-
-
-def _bmatching_residual(edges: list[Edge], residual: dict[int, int]) -> int:
-    """Max keepable edges under per-vertex residual caps (b-matching)."""
-    edges = [e for e in edges if residual[e[0]] > 0 and residual[e[1]] > 0]
-    if not edges:
-        return 0
-    g = nx.Graph()
-    for idx, (u, v) in enumerate(edges):
-        eu, ev = ("e", idx, 0), ("e", idx, 1)
-        g.add_edge(eu, ev)
-        for i in range(min(residual[u], sum(1 for e in edges if u in e))):
-            g.add_edge(eu, ("v", u, i))
-        for i in range(min(residual[v], sum(1 for e in edges if v in e))):
-            g.add_edge(ev, ("v", v, i))
-    matching = nx.max_weight_matching(g, maxcardinality=True)
-    return len(matching) - len(edges)
+    edges = list(hp.edges)
+    if hp.k >= 3:
+        if len(edges) > exact_cap:
+            raise OracleSizeError(
+                f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
+        witness = _bnb_max(edges, _level_caps(hp, delta))
+        return BoundedWitness(hp.restrict(witness), delta, True)
+    # keep each edge in canonical order iff a maximum witness still
+    # extends the edges kept so far plus this one
+    residual = _vertex_caps(hp, delta)
+    target = _bmatching(edges, residual)
+    chosen: list[Edge] = []
+    for i, (u, v) in enumerate(edges):
+        if residual[u] <= 0 or residual[v] <= 0:
+            continue
+        residual[u] -= 1
+        residual[v] -= 1
+        if len(chosen) + 1 + _bmatching(edges[i + 1:], residual) >= target:
+            chosen.append((u, v))
+            if len(chosen) == target:
+                break
+        else:
+            residual[u] += 1
+            residual[v] += 1
+    return BoundedWitness(hp.restrict(chosen), delta, True)
 
 
 def greedy_bounded_sub(hp: Hypergraph, delta: float) -> BoundedWitness:
@@ -201,13 +172,7 @@ def greedy_bounded_sub(hp: Hypergraph, delta: float) -> BoundedWitness:
         return BoundedWitness(hp, delta, False)
     caps = _level_caps(hp, delta)
     counts: dict[Edge, int] = {}
-    kept: list[Edge] = []
-    for e in hp.edges:
-        subs = [(u, ell) for ell in caps for u in combinations(e, ell)]
-        if all(counts.get(u, 0) < caps[ell] for u, ell in subs):
-            kept.append(e)
-            for u, _ell in subs:
-                counts[u] = counts.get(u, 0) + 1
+    kept = [e for e in hp.edges if _admit(counts, _subsets(e, caps))]
     return BoundedWitness(hp.restrict(kept), delta, False)
 
 
@@ -240,26 +205,36 @@ def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:
     return best
 
 
-def is_expanding(h: Hypergraph, f, params, exact_cap: int = DEFAULT_EXACT_CAP) -> bool:
-    """F is expanding: log |H_F|_{delta'} >= 1 + (k-2) delta' - eps'."""
-    fs = frozenset(f)
-    if not fs:
+def expanding(h: Hypergraph, f: frozenset[int], params, size_of) -> bool:
+    """F is expanding: log |H_F|_{delta'} >= 1 + (k-2) delta' - eps',
+    where size_of(F) gives |H_F|_{delta'}.  The empty set never is."""
+    if not f:
         return False
-    hf = vertex_fiber(h, fs)
-    size = max_bounded_size(hf, params.delta_p, exact_cap)
-    return cmp_log(size, 1 + (h.k - 2) * params.delta_p - params.eps_p, h.n) >= 0
+    return cmp_log(size_of(f), 1 + (h.k - 2) * params.delta_p - params.eps_p, h.n) >= 0
+
+
+def expansive(h: Hypergraph, f: frozenset[int], params, size_of) -> bool:
+    """Per-element growth inequality:
+    log |H_F|_{delta'} >= log|F| + (k-1) delta' - eps~,
+    where size_of(F) gives |H_F|_{delta'}.
+
+    The empty set satisfies it (both sides are log 0)."""
+    if not f:
+        return True
+    tau = log_size(len(f), h.n) + (h.k - 1) * params.delta_p - params.eps_tilde
+    return cmp_log(size_of(f), tau, h.n) >= 0
+
+
+def _exact_fiber_size(h: Hypergraph, params, exact_cap: int):
+    return lambda fs: max_bounded_size(vertex_fiber(h, fs), params.delta_p, exact_cap)
+
+
+def is_expanding(h: Hypergraph, f, params, exact_cap: int = DEFAULT_EXACT_CAP) -> bool:
+    """expanding() with the exact oracle."""
+    return expanding(h, frozenset(f), params, _exact_fiber_size(h, params, exact_cap))
 
 
 def satisfies_expansive(h: Hypergraph, f, params,
                         exact_cap: int = DEFAULT_EXACT_CAP) -> bool:
-    """Per-element growth inequality:
-    log |H_F|_{delta'} >= log|F| + (k-1) delta' - eps~.
-
-    The empty set satisfies it (both sides are log 0)."""
-    fs = frozenset(f)
-    if not fs:
-        return True
-    hf = vertex_fiber(h, fs)
-    size = max_bounded_size(hf, params.delta_p, exact_cap)
-    tau = log_size(len(fs), h.n) + (h.k - 1) * params.delta_p - params.eps_tilde
-    return cmp_log(size, tau, h.n) >= 0
+    """expansive() with the exact oracle."""
+    return expansive(h, frozenset(f), params, _exact_fiber_size(h, params, exact_cap))

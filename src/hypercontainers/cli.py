@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounded import DEFAULT_EXACT_CAP
+from .bounded import DEFAULT_EXACT_CAP, OracleSizeError
 from .core import HypergraphError
 from .engine import EngineContext, StrictModeError, derive_params
 from .instances import FormatError, gen_ap, gen_random, read_edge_list, write_edge_list
@@ -105,18 +105,17 @@ def _run_verification(h, args) -> tuple[VerificationReport, int]:
     params = derive_params(h.k, args.pi, args.eps, h.n)
     try:
         ctx = EngineContext(h, params, mode=args.mode, oracle_cap=args.oracle_cap)
-    except StrictModeError as exc:
+        if args.jobs < 1:
+            print("--jobs must be >= 1", file=sys.stderr)
+            return None, EXIT_USAGE
+        enumerated = h.n <= args.enum_cap
+        sets = (enumerate_independent_sets(h, cap=args.enum_cap) if enumerated
+                else sample_independent_sets(h, args.samples, args.seed))
+        report = verify(ctx, sets, enumerated=enumerated, jobs=args.jobs)
+    except (StrictModeError, OracleSizeError) as exc:
+        # in permissive mode the engine never lets OracleSizeError escape
         print(f"strict mode refused to run: {exc}", file=sys.stderr)
         return None, EXIT_STRICT_REFUSAL
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return None, EXIT_USAGE
-    if h.n <= args.enum_cap:
-        sets = enumerate_independent_sets(h, cap=args.enum_cap)
-        report = verify(ctx, sets, enumerated=True, jobs=args.jobs)
-    else:
-        sets = sample_independent_sets(h, args.samples, args.seed)
-        report = verify(ctx, sets, enumerated=False, jobs=args.jobs)
     code = EXIT_OK if report.all_conditions_pass() else EXIT_CONDITION_FAIL
     return report, code
 

@@ -184,15 +184,21 @@ def degree(h: Hypergraph, u: Iterable[int]) -> int:
     return sum(1 for e in anchor if us.issubset(e))
 
 
+def codegrees(edges: Iterable[Edge], ell: int) -> dict[Edge, int]:
+    """ell-set -> number of the given edges containing it, for every
+    ell-set of positive degree."""
+    counts: dict[Edge, int] = {}
+    for e in edges:
+        for u in combinations(e, ell):
+            counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
 def max_degree(h: Hypergraph, ell: int) -> int:
     """Delta_ell(h): maximum degree over all ell-sets (0 for empty h)."""
     if not 1 <= ell < h.k:
         raise HypergraphError(f"level {ell} out of range for k={h.k}")
-    counts: dict[Edge, int] = {}
-    for e in h.edges:
-        for u in combinations(e, ell):
-            counts[u] = counts.get(u, 0) + 1
-    return max(counts.values(), default=0)
+    return max(codegrees(h.edges, ell).values(), default=0)
 
 
 def section(h: Hypergraph, us: Iterable[Iterable[int]],
@@ -260,8 +266,5 @@ def nabla(hp: Hypergraph, t: int, delta: float) -> frozenset[Edge]:
     if not 1 <= t < hp.k:
         raise HypergraphError(f"nabla level {t} out of range for k={hp.k}")
     tau = (hp.k - t) * delta
-    counts: dict[Edge, int] = {}
-    for e in hp.edges:
-        for u in combinations(e, t):
-            counts[u] = counts.get(u, 0) + 1
-    return frozenset(u for u, d in counts.items() if cmp_log(d, tau, hp.n) >= 0)
+    return frozenset(u for u, d in codegrees(hp.edges, t).items()
+                     if cmp_log(d, tau, hp.n) >= 0)

@@ -25,17 +25,13 @@ from itertools import combinations
 from .bounded import (
     DEFAULT_EXACT_CAP,
     OracleSizeError,
+    expanding,
+    expansive,
     greedy_bounded_sub,
     max_bounded_size,
     max_bounded_sub,
 )
-from .core import (
-    Edge,
-    Hypergraph,
-    cmp_log,
-    log_size,
-    vertex_fiber,
-)
+from .core import Hypergraph, cmp_log, nabla, vertex_fiber
 
 Fingerprint = frozenset[int]
 Print = tuple[Fingerprint, ...]
@@ -115,7 +111,8 @@ class EngineContext:
 
     mode="strict" refuses to construct when the hypothesis flags fail and
     propagates oracle cap errors; mode="permissive" runs anyway, falling
-    back to the greedy oracle bound and recording heuristic_used.
+    back to the greedy oracle bound and recording heuristic_used.  Child
+    contexts inherit the mode; the hypothesis flags carry over to them.
     """
 
     def __init__(self, h: Hypergraph, params: Params, mode: str = "permissive",
@@ -133,7 +130,7 @@ class EngineContext:
         self.mode = mode
         self.oracle_cap = oracle_cap
         self.debug = debug
-        self.heuristic_used = False
+        self._fell_back = False
         self._fiber_size: dict[Fingerprint, int] = {}
         self._gf: dict[Fingerprint, tuple[Hypergraph, "EngineContext"]] = {}
         self._hminus: dict[Fingerprint, tuple[Hypergraph, Hypergraph]] = {}
@@ -141,41 +138,35 @@ class EngineContext:
 
     # -- oracle plumbing ---------------------------------------------------
 
-    def _bounded_fiber_size(self, f: Fingerprint) -> int:
-        """|H_F|_{delta'}, exact when possible, greedy fallback in
-        permissive mode (flagging the run as heuristic)."""
-        hit = self._fiber_size.get(f)
-        if hit is not None:
-            return hit
+    @property
+    def heuristic_used(self) -> bool:
+        """Whether this context or any context below it used the greedy
+        fallback."""
+        return self._fell_back or any(
+            child.heuristic_used for _gf, child in self._gf.values())
+
+    def _oracle(self, exact, f: Fingerprint, from_greedy):
+        """exact(H_F) for the fingerprint F.  Beyond the oracle cap, strict
+        mode re-raises and permissive mode returns from_greedy applied to
+        the greedy witness, flagging the run as heuristic."""
         hf = vertex_fiber(self.h, f)
         try:
-            size = max_bounded_size(hf, self.params.delta_p, self.oracle_cap)
+            return exact(hf, self.params.delta_p, self.oracle_cap)
         except OracleSizeError:
             if self.mode == "strict":
                 raise
-            self.heuristic_used = True
-            size = len(greedy_bounded_sub(hf, self.params.delta_p).sub.edges)
-        self._fiber_size[f] = size
-        return size
+            self._fell_back = True
+            return from_greedy(greedy_bounded_sub(hf, self.params.delta_p))
+
+    def _bounded_fiber_size(self, f: Fingerprint) -> int:
+        """|H_F|_{delta'}, memoized per fingerprint."""
+        hit = self._fiber_size.get(f)
+        if hit is None:
+            hit = self._fiber_size[f] = self._oracle(max_bounded_size, f, len)
+        return hit
 
     def fingerprint_expanding(self, f) -> bool:
-        fs = frozenset(f)
-        if not fs:
-            return False
-        size = self._bounded_fiber_size(fs)
-        p = self.params
-        return cmp_log(size, 1 + (p.k - 2) * p.delta_p - p.eps_p, p.n) >= 0
-
-    def _expansive(self, f: Fingerprint) -> bool:
-        if not f:
-            return True
-        size = self._bounded_fiber_size(f)
-        p = self.params
-        tau = log_size(len(f), p.n) + (p.k - 1) * p.delta_p - p.eps_tilde
-        return cmp_log(size, tau, p.n) >= 0
-
-    def _is_fingerprint(self, f: Fingerprint) -> bool:
-        return cmp_log(len(f), self.params.pi, self.params.n) <= 0
+        return expanding(self.h, frozenset(f), self.params, self._bounded_fiber_size)
 
     # -- recursion ---------------------------------------------------------
 
@@ -187,20 +178,13 @@ class EngineContext:
             return hit
         if not self.fingerprint_expanding(fs):
             raise EngineError(f"fingerprint {sorted(fs)} is not expanding")
-        hf = vertex_fiber(self.h, fs)
         p = self.params
-        try:
-            gf = max_bounded_sub(hf, p.delta_p, self.oracle_cap).sub
-        except OracleSizeError:
-            if self.mode == "strict":
-                raise
-            self.heuristic_used = True
-            gf = greedy_bounded_sub(hf, p.delta_p).sub
+        gf = self._oracle(max_bounded_sub, fs, lambda w: w).sub
         child_params = derive_params(p.k - 1, p.pi_p, p.eps_p, p.n)
         if self.debug and p.hyp_eps_ok and p.hyp_pi_ok:
             # hypothesis preservation down the recursion
             assert child_params.hyp_pi_ok
-        child = EngineContext(gf, child_params, mode="permissive",
+        child = EngineContext(gf, child_params, mode=self.mode,
                               oracle_cap=self.oracle_cap, debug=self.debug)
         pair = (gf, child)
         self._gf[fs] = pair
@@ -218,32 +202,29 @@ class EngineContext:
         only when debug is set.
         """
         iset = frozenset(independent)
-        if not iset <= set(self.h.vertices):
+        h, p = self.h, self.params
+        if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise EngineError("independent set has vertices outside X")
         if self.debug:
             self.check_independent(iset)
-        if self.h.k == 1:
+        if h.k == 1:
             return ()
         f: Fingerprint = frozenset()
-        while True:
-            if self.fingerprint_expanding(f):
-                _gf, child = self.child_for(f)
-                return (f,) + child.print_of(iset)
-            added = False
+        while not self.fingerprint_expanding(f):
+            grown = False
             for x in sorted(iset - f):
                 cand = f | {x}
-                if self._is_fingerprint(cand) and self._expansive(cand):
-                    f = cand
-                    added = True
+                if (cmp_log(len(cand), p.pi, p.n) <= 0
+                        and expansive(h, cand, p, self._bounded_fiber_size)):
+                    f, grown = cand, True
                     if self.fingerprint_expanding(f):
                         break
-            if self.fingerprint_expanding(f):
-                continue
-            if not added:
-                break
-        if self.debug and not self.heuristic_used:
-            assert cmp_log(len(f), self.params.pi_tilde, self.params.n) < 0
-        return (f,)
+            if not grown:
+                if self.debug and not self.heuristic_used:
+                    assert cmp_log(len(f), p.pi_tilde, p.n) < 0
+                return (f,)
+        _gf, child = self.child_for(f)
+        return (f,) + child.print_of(iset)
 
     def check_independent(self, iset: frozenset[int]) -> None:
         for e in self.h.edges:
@@ -264,28 +245,13 @@ class EngineContext:
         if h.k < 2:
             raise EngineError("h_minus needs k >= 2")
         hf = vertex_fiber(h, fs)
-        hf_edges = hf.edge_set
-        nablas: list[frozenset[Edge]] = []
-        for t in range(1, h.k - 1):
-            tau = (h.k - 1 - t) * p.delta
-            counts: dict[Edge, int] = {}
-            for e in hf.edges:
-                for u in combinations(e, t):
-                    counts[u] = counts.get(u, 0) + 1
-            nablas.append(frozenset(
-                u for u, d in counts.items() if cmp_log(d, tau, h.n) >= 0))
-        hat: list[Edge] = []
-        rest: list[Edge] = []
+        # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
+        levels = [(h.k - 1, hf.edge_set)] + [
+            (t, nabla(hf, t, p.delta)) for t in range(1, h.k - 1)]
+        hat, rest = [], []
         for e in h.edges:
-            if any(u in hf_edges for u in combinations(e, h.k - 1)):
-                hat.append(e)
-                continue
-            in_nabla = False
-            for t, nab in enumerate(nablas, start=1):
-                if any(u in nab for u in combinations(e, t)):
-                    in_nabla = True
-                    break
-            (hat if in_nabla else rest).append(e)
+            high = any(u in marked for t, marked in levels for u in combinations(e, t))
+            (hat if high else rest).append(e)
         pair = (Hypergraph(h.n, h.k, tuple(rest)),
                 Hypergraph(h.n, h.k, tuple(hat)))
         self._hminus[fs] = pair

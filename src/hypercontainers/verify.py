@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
-from .engine import NotIndependentError, Print, print_union
+from .engine import EngineError, NotIndependentError, Print, print_union
 
 DEFAULT_ENUM_CAP = 20
 
@@ -159,7 +159,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     (i) every supplied set receives a print (witnessed extensionally);
     (ii) every produced print receives a container; (iii) the sandwich
     union(P) <= I <= union(P) | C, zero tolerance; (iv) every distinct
-    container C has log_n|X \\ C| >= 1 - sigma.
+    container C has log_n|X \\ C| >= 1 - sigma.  A set whose print_of or
+    container_of raises EngineError fails (i) or (ii) respectively.
     """
     h, p = ctx.h, ctx.params
     x = frozenset(h.vertices)
@@ -171,11 +172,14 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
                     f"supplied set {_set_str(iset)} contains edge {e}")
 
     def process(iset):
-        prnt = ctx.print_of(iset)
-        cont = ctx.container_of(prnt)
-        up = print_union(prnt)
-        ok = up <= iset <= (up | cont)
-        return iset, prnt, cont, ok
+        try:
+            prnt = ctx.print_of(iset)
+        except EngineError:
+            return iset, None, None
+        try:
+            return iset, prnt, ctx.container_of(prnt)
+        except EngineError:
+            return iset, prnt, None
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -183,13 +187,18 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     else:
         results = [process(s) for s in sets]
 
+    cond_i = all(prnt is not None for _i, prnt, _c in results)
+    cond_ii = all(cont is not None for _i, prnt, cont in results if prnt is not None)
     cond_iii = True
     iii_counter = ""
     print_containers: dict[tuple, tuple[Print, frozenset[int]]] = {}
-    for iset, prnt, cont, ok in results:
+    for iset, prnt, cont in results:
+        if cont is None:
+            continue
         key = tuple(tuple(sorted(f)) for f in prnt)
         print_containers.setdefault(key, (prnt, cont))
-        if not ok and cond_iii:
+        up = print_union(prnt)
+        if not up <= iset <= (up | cont) and cond_iii:
             cond_iii = False
             iii_counter = (f"I={_set_str(iset)} P="
                            + "|".join(_set_str(f) for f in prnt)
@@ -236,8 +245,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         oracle_mode="heuristic" if getattr(ctx, "heuristic_used", False) else "exact",
         method="enumeration" if enumerated else "sampling",
         samples=len(sets),
-        cond_i=True,
-        cond_ii=True,
+        cond_i=cond_i,
+        cond_ii=cond_ii,
         cond_iii=cond_iii,
         cond_iv=cond_iv,
         cond_iii_counterexample=iii_counter,

@@ -77,6 +77,16 @@ class TestVerify:
         assert code == 3
         assert "refused" in capsys.readouterr().err
 
+    def test_strict_oracle_cap_exit_3(self, tmp_path, capsys):
+        inst = self._gen(tmp_path, "--random", "--n", "1024", "--k", "4",
+                         "--delta", "0.1", "--eps", "0.9", "--seed", "1")
+        code = run("verify", "--input", inst, "--pi", "0.9", "--eps", "0.9",
+                   "--mode", "strict", "--samples", "2", "--oracle-cap", "3")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "refused" in err and "exact-mode cap 3" in err
+        assert len(err.splitlines()) == 1
+
     def test_report_written_to_file(self, tmp_path, capsys):
         inst = self._gen(tmp_path, "--random", "--n", "10", "--k", "2",
                          "--delta", "0.2", "--eps", "0.6", "--seed", "4")

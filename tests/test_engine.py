@@ -14,7 +14,8 @@ from hypercontainers.core import (
     nabla,
     vertex_fiber,
 )
-from hypercontainers.bounded import max_bounded_size
+from hypercontainers import engine
+from hypercontainers.bounded import OracleSizeError, max_bounded_size
 from hypercontainers.engine import (
     EngineContext,
     EngineError,
@@ -322,4 +323,27 @@ class TestModes:
         ctx = _ctx(h, 0.7, 0.5, oracle_cap=10)
         iset = next(s for s in enumerate_independent_sets(h) if len(s) >= 3)
         ctx.print_of(iset)
+        assert ctx.heuristic_used
+
+
+@pytest.mark.parametrize("mode", ["strict", "permissive"])
+def test_child_inherits_mode_and_reports_fallback(monkeypatch, mode):
+    # eps clears 2k log_n 2, so strict mode accepts the instance; the
+    # fallback is forced in the child because no natural instance is known
+    h = gen_random(100, 3, 0.4, 0.3, seed=1)
+    ctx = EngineContext(h, derive_params(3, 0.6, 0.95, h.n), mode=mode)
+    _gf, child = ctx.child_for({h.edges[0][0]})
+    assert child.mode == mode and not ctx.heuristic_used
+
+    def refuse(*_args, **_kwargs):
+        raise OracleSizeError("forced")
+
+    monkeypatch.setattr(engine, "max_bounded_size", refuse)
+    f = {child.h.edges[0][0]}
+    if mode == "strict":
+        with pytest.raises(OracleSizeError):
+            child.fingerprint_expanding(f)
+        assert not ctx.heuristic_used
+    else:
+        child.fingerprint_expanding(f)
         assert ctx.heuristic_used

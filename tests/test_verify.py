@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hypercontainers.core import new_hypergraph
-from hypercontainers.engine import EngineContext, NotIndependentError, derive_params
+from hypercontainers.engine import EngineContext, EngineError, NotIndependentError, derive_params
 from hypercontainers.instances import gen_random
 from hypercontainers.verify import (
     EnumerationCapError,
@@ -140,6 +140,34 @@ def test_checker_catches_stub_engine():
     assert rep.cond_iii          # C = X makes the sandwich trivially true
     assert not rep.cond_iv       # but the complement is empty
     assert rep.cond_iv_counterexample
+
+
+class _FailingContext(_StubContext):
+    """Stub whose print_of or container_of raises for sets containing 0."""
+
+    def __init__(self, h, params, failing):
+        super().__init__(h, params)
+        self.failing = failing
+
+    def print_of(self, iset):
+        if self.failing == "print_of" and 0 in iset:
+            raise EngineError("stub print_of failed")
+        return (frozenset(iset),)
+
+    def container_of(self, prnt):
+        if self.failing == "container_of" and 0 in prnt[0]:
+            raise EngineError("stub container_of failed")
+        return frozenset()
+
+
+@pytest.mark.parametrize("failing, cond", [("print_of", "cond_i"),
+                                           ("container_of", "cond_ii")])
+def test_engine_error_fails_condition(failing, cond):
+    h = new_hypergraph(8, 2, [(0, 1), (2, 3)])
+    ctx = _FailingContext(h, derive_params(2, 0.7, 0.1, 8), failing)
+    rep = verify(ctx, list(enumerate_independent_sets(h)), enumerated=True)
+    assert not getattr(rep, cond)
+    assert rep.cond_iii and [rep.cond_i, rep.cond_ii].count(False) == 1
 
 
 class TestCountingBound:
