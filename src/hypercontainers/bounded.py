@@ -6,7 +6,10 @@ Exact routes:
   * 1-uniform: every subhypergraph is bounded, so the answer is the input.
   * 2-uniform: degree-constrained subgraph, solved exactly at any size by
     a reduction of simple b-matching to maximum matching (vertex copies +
-    one gadget pair per edge; max matching = m + optimum).
+    one gadget pair per edge; max matching = m + optimum).  The witness
+    takes one maximum-weight maximum-cardinality solve on that gadget:
+    every gadget edge of input edge i weighs 2^(m-1-i), so among maximum
+    witnesses the earliest kept edge decides.
   * general uniformity: branch-and-bound over edges in canonical order,
     include-first, guarded by an edge-count cap (subset maximization with
     codegree caps has no known general poly-time algorithm).
@@ -17,6 +20,7 @@ their inputs.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -53,23 +57,28 @@ def _vertex_caps(hp: Hypergraph, delta: float) -> dict[int, int]:
     return dict.fromkeys(hp.covered_vertices(), _level_caps(hp, delta)[1])
 
 
-def _bmatching(edges: list[Edge], caps: dict[int, int]) -> int:
-    """Max number of edges of a simple graph keepable with every vertex v
-    in at most caps[v] of them."""
+def _bmatching(edges: list[Edge], caps: dict[int, int], lex: bool) -> list[Edge]:
+    """A maximum set of edges of a simple graph with every vertex v in at
+    most caps[v] of them; with lex, the lexicographically least one."""
     edges = [e for e in edges if caps[e[0]] > 0 and caps[e[1]] > 0]
     if not edges:
-        return 0
+        return []
     deg = codegrees(edges, 1)
     g = nx.Graph()
     for idx, (u, v) in enumerate(edges):
+        # exact: networkx keeps integer weights integral
+        w = 1 << (len(edges) - 1 - idx) if lex else 1
         eu, ev = ("e", idx, 0), ("e", idx, 1)
-        g.add_edge(eu, ev)
+        g.add_edge(eu, ev, weight=w)
         for i in range(min(caps[u], deg[(u,)])):
-            g.add_edge(eu, ("v", u, i))
+            g.add_edge(eu, ("v", u, i), weight=w)
         for i in range(min(caps[v], deg[(v,)])):
-            g.add_edge(ev, ("v", v, i))
+            g.add_edge(ev, ("v", v, i), weight=w)
     matching = nx.max_weight_matching(g, maxcardinality=True)
-    return len(matching) - len(edges)
+    # an edge is kept iff both its gadget ends are matched to vertex copies
+    hits = Counter(a[1] if a[0] == "e" else b[1]
+                   for a, b in matching if a[0] != b[0])
+    return [e for idx, e in enumerate(edges) if hits[idx] == 2]
 
 
 def _subsets(e: Edge, caps: dict[int, int]) -> list[tuple[Edge, int]]:
@@ -128,7 +137,7 @@ def max_bounded_size(hp: Hypergraph, delta: float,
     Raises OracleSizeError for uniformity >= 3 beyond the edge cap.
     """
     if hp.k == 2 and hp.edges:
-        return _bmatching(list(hp.edges), _vertex_caps(hp, delta))
+        return len(_bmatching(list(hp.edges), _vertex_caps(hp, delta), lex=False))
     return len(max_bounded_sub(hp, delta, exact_cap))
 
 
@@ -139,30 +148,14 @@ def max_bounded_sub(hp: Hypergraph, delta: float,
     if hp.k == 1 or not hp.edges:
         return BoundedWitness(hp, delta, True)
     edges = list(hp.edges)
-    if hp.k >= 3:
-        if len(edges) > exact_cap:
-            raise OracleSizeError(
-                f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
+    if hp.k == 2:
+        witness = _bmatching(edges, _vertex_caps(hp, delta), lex=True)
+    elif len(edges) > exact_cap:
+        raise OracleSizeError(
+            f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
+    else:
         witness = _bnb_max(edges, _level_caps(hp, delta))
-        return BoundedWitness(hp.restrict(witness), delta, True)
-    # keep each edge in canonical order iff a maximum witness still
-    # extends the edges kept so far plus this one
-    residual = _vertex_caps(hp, delta)
-    target = _bmatching(edges, residual)
-    chosen: list[Edge] = []
-    for i, (u, v) in enumerate(edges):
-        if residual[u] <= 0 or residual[v] <= 0:
-            continue
-        residual[u] -= 1
-        residual[v] -= 1
-        if len(chosen) + 1 + _bmatching(edges[i + 1:], residual) >= target:
-            chosen.append((u, v))
-            if len(chosen) == target:
-                break
-        else:
-            residual[u] += 1
-            residual[v] += 1
-    return BoundedWitness(hp.restrict(chosen), delta, True)
+    return BoundedWitness(hp.restrict(witness), delta, True)
 
 
 def greedy_bounded_sub(hp: Hypergraph, delta: float) -> BoundedWitness:

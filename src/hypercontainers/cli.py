@@ -18,6 +18,7 @@ from .verify import (
     DEFAULT_ENUM_CAP,
     VerificationReport,
     enumerate_independent_sets,
+    _fmt,
     sample_independent_sets,
     verify,
 )
@@ -40,6 +41,15 @@ def _unit_interval(name):
         val = float(text)
         if not 0.0 <= val <= 1.0:
             raise argparse.ArgumentTypeError(f"{name} must be in [0, 1], got {val}")
+        return val
+    return conv
+
+
+def _at_least(low):
+    def conv(text):
+        val = int(text)
+        if val < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {val}")
         return val
     return conv
 
@@ -86,18 +96,17 @@ def _add_run_flags(p):
     p.add_argument("--pi", type=_unit_interval("pi"), required=True)
     p.add_argument("--eps", type=_unit_interval("eps"), required=True)
     p.add_argument("--mode", choices=("strict", "permissive"), default="permissive")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_EXACT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--enum-cap", type=_at_least(0), default=DEFAULT_ENUM_CAP)
+    p.add_argument("--oracle-cap", type=_at_least(0), default=DEFAULT_EXACT_CAP)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--output", "-o", default=None, help="also write report here")
 
 
 def _params_lines(params) -> str:
     keys = ("k", "n", "pi", "eps", "delta", "sigma", "log2", "delta_p", "pi_p",
             "pi_tilde", "eps_tilde", "eps_p", "sigma_p", "hyp_eps_ok", "hyp_pi_ok")
-    from .verify import _fmt
     return "\n".join(f"{key} = {_fmt(getattr(params, key))}" for key in keys) + "\n"
 
 
@@ -105,9 +114,6 @@ def _run_verification(h, args) -> tuple[VerificationReport, int]:
     params = derive_params(h.k, args.pi, args.eps, h.n)
     try:
         ctx = EngineContext(h, params, mode=args.mode, oracle_cap=args.oracle_cap)
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return None, EXIT_USAGE
         enumerated = h.n <= args.enum_cap
         sets = (enumerate_independent_sets(h, cap=args.enum_cap) if enumerated
                 else sample_independent_sets(h, args.samples, args.seed))
@@ -148,23 +154,16 @@ def main(argv=None) -> int:
             sys.stdout.write(_params_lines(params))
             return EXIT_OK
 
-        if args.command == "verify":
-            h = read_edge_list(args.input)
-            report, code = _run_verification(h, args)
-            if report is not None:
-                _emit(report.to_text(), args.output)
-            return code
-
-        if args.command == "demo-ap":
-            h = gen_ap(args.n, args.k)
-            report, code = _run_verification(h, args)
-            if report is not None:
-                _emit(report.to_text(), args.output)
-            return code
+        # verify or demo-ap
+        h = (read_edge_list(args.input) if args.command == "verify"
+             else gen_ap(args.n, args.k))
+        report, code = _run_verification(h, args)
+        if report is not None:
+            _emit(report.to_text(), args.output)
+        return code
     except (HypergraphError, FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def entry() -> None:

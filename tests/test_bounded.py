@@ -5,8 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from hypercontainers import bounded
 from hypercontainers.bounded import (
     OracleSizeError,
+    _bnb_max,
+    _level_caps,
     brute_force_max_bounded,
     greedy_bounded_sub,
     is_expanding,
@@ -48,6 +51,42 @@ class TestExact:
             max_bounded_sub(h, 0.3, exact_cap=24)
         with pytest.raises(OracleSizeError):
             max_bounded_size(h, 0.3, exact_cap=24)
+
+
+def _random_graph(rng, n_max=9, m_max=14):
+    n = rng.randint(2, n_max)
+    pairs = list(combinations(range(n), 2))
+    m = rng.randint(1, min(m_max, len(pairs)))
+    return Hypergraph(n, 2, tuple(sorted(rng.sample(pairs, m))))
+
+
+def test_k2_witness_is_lexicographically_least():
+    # include-first branch-and-bound is an independent reference for the
+    # lexicographically least maximum witness; the degree caps must bind
+    # (|W| < m) in enough cases for the order to matter
+    rng = random.Random(3)
+    binding = 0
+    for _ in range(400):
+        h = _random_graph(rng)
+        for delta in (0.0, 0.2, 0.35, 0.5, 0.75, 1.0):
+            w = max_bounded_sub(h, delta).sub.edges
+            assert w == _bnb_max(list(h.edges), _level_caps(h, delta))
+            binding += len(w) < len(h.edges)
+    assert binding >= 100
+
+
+def test_k2_one_matching_solve_per_call(monkeypatch):
+    calls = []
+    solve = bounded.nx.max_weight_matching
+    monkeypatch.setattr(bounded.nx, "max_weight_matching",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    rng = random.Random(4)
+    for _ in range(20):
+        h = _random_graph(rng)
+        for op in (max_bounded_sub, max_bounded_size):
+            calls.clear()
+            op(h, 0.35)
+            assert len(calls) == 1
 
 
 class TestGreedy:

@@ -1,3 +1,5 @@
+import pytest
+
 from hypercontainers.cli import main
 
 
@@ -99,6 +101,20 @@ class TestVerify:
     def test_missing_input_exit_2(self, tmp_path, capsys):
         assert run("verify", "--input", str(tmp_path / "nope.hg"),
                    "--pi", "0.5", "--eps", "0.5") == 2
+
+
+    @pytest.mark.parametrize("flag", [("--samples", "0"), ("--samples", "-3"),
+                                      ("--jobs", "0"), ("--enum-cap", "-1"),
+                                      ("--oracle-cap", "-1")])
+    @pytest.mark.parametrize("eps, mode", [("0.6", "permissive"), ("0.1", "strict")])
+    def test_invalid_count_flag_exit_2(self, tmp_path, capsys, flag, eps, mode):
+        # eps=0.1 fails the hypothesis flags, which strict mode would refuse
+        inst = self._gen(tmp_path, "--random", "--n", "12", "--k", "2",
+                         "--delta", "0.3", "--eps", "0.6", "--seed", "1")
+        code = run("verify", "--input", inst, "--pi", "0.7", "--eps", eps,
+                   "--mode", mode, *flag)
+        assert code == 2
+        assert f"argument {flag[0]}: must be >=" in capsys.readouterr().err
 
 
 class TestDemoAp:

@@ -1,8 +1,9 @@
-"""Golden reports: the default report of five fixed runs, byte for byte.
+"""Golden reports: the default report of six fixed runs, byte for byte.
 
 Each case loads a different route of the construction: the non-expanding
 H^- branch, the k=2 witness (b-matching) path, branch-and-bound, the
-permissive greedy fallback, and the strict k=2 sampled path.  A change
+permissive greedy fallback, the strict k=2 sampled path, and k=2
+witnesses that the degree caps make smaller than their fibers.  A change
 that must not alter behaviour keeps these files unchanged.
 
 Regenerate (only when a change is meant to alter reports):
@@ -51,6 +52,8 @@ CASES = {
     "random10_k4_heuristic": lambda: _report(_random_4sets(), 0.7, 0.5, oracle_cap=10),
     "random2048_k2_strict": lambda: _report(
         gen_random(2048, 2, 0.25, 0.4, 1), 0.75, 0.4, samples=20, mode="strict"),
+    "random24_k3_binding": lambda: _report(
+        gen_random(24, 3, 0.6, 0.3, 1), 0.7, 0.3, samples=4),
 }
 
 
