@@ -4,6 +4,9 @@ often each verification condition holds.
 
 Usage: python3 scripts/random_sweep.py [--n 12] [--k 2] [--delta 0.3]
                                        [--eps 0.6] [--trials 20]
+                                       [--enum-cap 20] [--samples 200]
+
+Exits 1 if any condition failed on some trial, 2 on a bad argument.
 """
 import argparse
 import sys
@@ -17,6 +20,9 @@ from hypercontainers import (
     sample_independent_sets,
     verify,
 )
+from hypercontainers.cli import _at_least
+
+CONDITIONS = ("cond_i", "cond_ii", "cond_iii", "cond_iv")
 
 
 def run() -> int:
@@ -25,9 +31,9 @@ def run() -> int:
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--delta", type=float, default=0.3)
     parser.add_argument("--eps", type=float, default=0.6)
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--enum-cap", type=int, default=20)
-    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--trials", type=_at_least(1), default=20)
+    parser.add_argument("--enum-cap", type=_at_least(0), default=20)
+    parser.add_argument("--samples", type=_at_least(1), default=200)
     args = parser.parse_args()
 
     tally: Counter[str] = Counter()
@@ -40,14 +46,14 @@ def run() -> int:
         else:
             sets = sample_independent_sets(h, args.samples, seed)
             rep = verify(ctx, sets)
-        for cond in ("cond_i", "cond_ii", "cond_iii", "cond_iv"):
+        for cond in CONDITIONS:
             tally[cond] += getattr(rep, cond)
         tally["oracle_exact"] += rep.oracle_mode == "exact"
 
     print(f"trials = {args.trials}")
-    for key in ("cond_i", "cond_ii", "cond_iii", "cond_iv", "oracle_exact"):
+    for key in (*CONDITIONS, "oracle_exact"):
         print(f"{key} = {tally[key]}/{args.trials}")
-    return 0
+    return 0 if all(tally[cond] == args.trials for cond in CONDITIONS) else 1
 
 
 if __name__ == "__main__":

@@ -6,10 +6,13 @@ Exact routes:
   * 1-uniform: every subhypergraph is bounded, so the answer is the input.
   * 2-uniform: degree-constrained subgraph, solved exactly at any size by
     a reduction of simple b-matching to maximum matching (vertex copies +
-    one gadget pair per edge; max matching = m + optimum).  The witness
-    takes one maximum-weight maximum-cardinality solve on that gadget:
-    every gadget edge of input edge i weighs 2^(m-1-i), so among maximum
-    witnesses the earliest kept edge decides.
+    one gadget pair per edge; max matching = m + optimum).  When no
+    vertex has degree above its cap the graph is its own maximum witness
+    and no matching is solved (the paper's delta' makes every fiber H_F
+    with |F| <= 2 of a delta-bounded 3-uniform H such a graph).
+    Otherwise the witness takes one maximum-weight maximum-cardinality
+    solve on the gadget: every gadget edge of input edge i weighs
+    2^(m-1-i), so among maximum witnesses the earliest kept edge decides.
   * general uniformity: branch-and-bound over edges in canonical order,
     include-first, guarded by an edge-count cap (subset maximization with
     codegree caps has no known general poly-time algorithm).
@@ -61,9 +64,9 @@ def _bmatching(edges: list[Edge], caps: dict[int, int], lex: bool) -> list[Edge]
     """A maximum set of edges of a simple graph with every vertex v in at
     most caps[v] of them; with lex, the lexicographically least one."""
     edges = [e for e in edges if caps[e[0]] > 0 and caps[e[1]] > 0]
-    if not edges:
-        return []
     deg = codegrees(edges, 1)
+    if all(d <= caps[v] for (v,), d in deg.items()):
+        return edges
     g = nx.Graph()
     for idx, (u, v) in enumerate(edges):
         # exact: networkx keeps integer weights integral

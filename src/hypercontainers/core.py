@@ -95,6 +95,12 @@ class Hypergraph:
                 inc.setdefault(v, []).append(e)
         return {v: tuple(es) for v, es in inc.items()}
 
+    @cached_property
+    def max_degrees(self) -> tuple[int, ...]:
+        """Delta_ell for ell = 1, ..., k-1: one codegree pass per level."""
+        return tuple(max(codegrees(self.edges, ell).values(), default=0)
+                     for ell in range(1, self.k))
+
     @property
     def vertices(self) -> range:
         return range(self.n)
@@ -198,7 +204,7 @@ def max_degree(h: Hypergraph, ell: int) -> int:
     """Delta_ell(h): maximum degree over all ell-sets (0 for empty h)."""
     if not 1 <= ell < h.k:
         raise HypergraphError(f"level {ell} out of range for k={h.k}")
-    return max(codegrees(h.edges, ell).values(), default=0)
+    return h.max_degrees[ell - 1]
 
 
 def section(h: Hypergraph, us: Iterable[Iterable[int]],

@@ -72,14 +72,22 @@ def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
 
 def sample_independent_sets(h: Hypergraph, count: int, seed: int):
     """Sampling stream: greedy maximal sets interleaved with random
-    subsets of them (maximal sets alone would bias toward large I)."""
-    for i in range(count):
-        base = sample_independent_set(h, seed + i)
-        if i % 2 == 0:
-            yield base
-        else:
-            rng = random.Random(f"{seed}:{i}")
-            yield frozenset(v for v in base if rng.random() < 0.5)
+    subsets of them (maximal sets alone would bias toward large I).
+
+    Raises ValueError at the call, not at the first draw, for count < 0."""
+    if count < 0:
+        raise ValueError(f"negative sample count: {count}")
+
+    def stream():
+        for i in range(count):
+            base = sample_independent_set(h, seed + i)
+            if i % 2 == 0:
+                yield base
+            else:
+                rng = random.Random(f"{seed}:{i}")
+                yield frozenset(v for v in base if rng.random() < 0.5)
+
+    return stream()
 
 
 @dataclass

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +17,15 @@ from hypercontainers.bounded import (
     max_bounded_sub,
     satisfies_expansive,
 )
-from hypercontainers.core import Hypergraph, is_bounded, new_hypergraph, vertex_fiber
+from hypercontainers.core import (
+    Hypergraph,
+    is_bounded,
+    max_degree,
+    new_hypergraph,
+    vertex_fiber,
+)
 from hypercontainers.engine import derive_params
+from hypercontainers.instances import gen_random
 
 from conftest import hypergraphs, random_hypergraph
 
@@ -75,18 +82,60 @@ def test_k2_witness_is_lexicographically_least():
     assert binding >= 100
 
 
-def test_k2_one_matching_solve_per_call(monkeypatch):
+def _count_solves(monkeypatch) -> list:
     calls = []
     solve = bounded.nx.max_weight_matching
     monkeypatch.setattr(bounded.nx, "max_weight_matching",
                         lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
+
+
+def test_k2_one_matching_solve_per_call(monkeypatch):
+    # one solve when some vertex is over its cap, none when every edge is free
+    calls = _count_solves(monkeypatch)
     rng = random.Random(4)
-    for _ in range(20):
+    seen = set()
+    for _ in range(40):
         h = _random_graph(rng)
+        binds = max_degree(h, 1) > _level_caps(h, 0.35)[1]
+        seen.add(binds)
         for op in (max_bounded_sub, max_bounded_size):
             calls.clear()
             op(h, 0.35)
-            assert len(calls) == 1
+            assert len(calls) == int(binds)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("n,delta,seed", [(30, 0.4, 0), (40, 0.4, 1), (40, 0.3, 2),
+                                          (60, 0.35, 3)])
+def test_bounded_fiber_is_its_own_witness(monkeypatch, n, delta, seed):
+    # H delta-bounded, |F| <= 2: every vertex of H_F has degree at most
+    # 2 n^delta = n^delta', so the witness is the whole fiber, unsolved
+    h = gen_random(n, 3, delta, 0.3, seed)
+    p = derive_params(3, 1 - delta, 0.3, n)
+    assert h.edges and is_bounded(h, p.delta)
+    calls = _count_solves(monkeypatch)
+    for f in chain(combinations(range(n), 1), combinations(range(n), 2)):
+        hf = vertex_fiber(h, f)
+        assert max_bounded_sub(hf, p.delta_p).sub.edges == hf.edges
+        assert max_bounded_size(hf, p.delta_p) == len(hf.edges)
+    assert calls == []
+
+
+def test_free_edges_kept_beside_a_hub(monkeypatch):
+    # hub 15 has degree 7 over its cap 4; the other edges, one of them
+    # sharing vertex 8 with a hub edge, are free and come first in order
+    hub = [(v, 15) for v in range(8, 15)]
+    free = [(0, 1), (2, 3), (4, 5), (5, 8)]
+    h = new_hypergraph(16, 2, free + hub)
+    assert _level_caps(h, 0.5)[1] == 4
+    calls = _count_solves(monkeypatch)
+    w = max_bounded_sub(h, 0.5).sub.edges
+    assert len(calls) == 1
+    assert set(free) <= set(w)
+    assert w == tuple(free + hub[:4])
+    assert w == _bnb_max(list(h.edges), _level_caps(h, 0.5))
+    assert max_bounded_size(h, 0.5) == len(w)
 
 
 class TestGreedy:

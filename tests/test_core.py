@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from hypercontainers import core
 from hypercontainers.core import (
     Hypergraph,
     HypergraphError,
@@ -119,6 +120,19 @@ class TestDegrees:
         with pytest.raises(HypergraphError):
             max_degree(STAR, 2)
 
+    @pytest.mark.parametrize("k,edges", [(2, [(0, 1), (0, 2), (3, 4)]),
+                                         (3, [(0, 1, 2), (0, 1, 3), (2, 4, 5)])])
+    def test_report_predicates_count_each_level_once(self, monkeypatch, k, edges):
+        calls = []
+        count = core.codegrees
+        monkeypatch.setattr(core, "codegrees",
+                            lambda es, ell: calls.append(ell) or count(es, ell))
+        h = new_hypergraph(6, k, edges)
+        ldeg(h)
+        is_bounded(h, 0.5)
+        is_homogeneous(h, 0.5, 0.3)
+        assert sorted(calls) == list(range(1, k))
+
 
 class TestSection:
     def test_direct(self):
@@ -227,7 +241,7 @@ def test_section_covers_partition(h):
     assert left | right == h.edge_set
 
 
-@given(hypergraphs())
+@given(hypergraphs(k_max=4))
 @settings(max_examples=40, deadline=None)
 def test_degree_matches_naive_recount(h):
     if h.k < 2:

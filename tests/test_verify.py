@@ -73,6 +73,12 @@ class TestSampling:
         for s in sample_independent_sets(h, 20, seed=1):
             assert not any(s.issuperset(e) for e in h.edges)
 
+    def test_negative_count_raises_at_the_call(self):
+        h = gen_random(30, 2, 0.3, 0.6, seed=8)
+        with pytest.raises(ValueError):
+            sample_independent_sets(h, -1, seed=0)
+        assert list(sample_independent_sets(h, 0, seed=0)) == []
+
 
 def _run(h, pi, eps, **kw):
     ctx = EngineContext(h, derive_params(h.k, pi, eps, h.n), **kw)
