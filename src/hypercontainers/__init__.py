@@ -17,7 +17,6 @@ from .core import (
     vertex_fiber,
 )
 from .bounded import (
-    BoundedWitness,
     OracleSizeError,
     greedy_bounded_sub,
     is_expanding,

@@ -24,7 +24,6 @@ their inputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 import networkx as nx
@@ -38,34 +37,16 @@ class OracleSizeError(RuntimeError):
     """Exact mode refused: instance exceeds the configured edge cap."""
 
 
-@dataclass(frozen=True)
-class BoundedWitness:
-    """A delta-bounded subhypergraph certifying a value of |H|_delta."""
-
-    sub: Hypergraph
-    delta: float
-    exact: bool
-
-    def __len__(self) -> int:
-        return len(self.sub.edges)
-
-
 def _level_caps(hp: Hypergraph, delta: float) -> dict[int, int]:
     """Integer codegree cap per level ell: largest d with d <= n^((k-ell) delta)."""
     return {ell: pow_floor(hp.n, (hp.k - ell) * delta) for ell in range(1, hp.k)}
 
 
-def _vertex_caps(hp: Hypergraph, delta: float) -> dict[int, int]:
-    """2-uniform hp: the degree cap of every covered vertex."""
-    return dict.fromkeys(hp.covered_vertices(), _level_caps(hp, delta)[1])
-
-
-def _bmatching(edges: list[Edge], caps: dict[int, int], lex: bool) -> list[Edge]:
-    """A maximum set of edges of a simple graph with every vertex v in at
-    most caps[v] of them; with lex, the lexicographically least one."""
-    edges = [e for e in edges if caps[e[0]] > 0 and caps[e[1]] > 0]
+def _bmatching(edges: list[Edge], cap: int, lex: bool) -> list[Edge]:
+    """A maximum set of edges of a simple graph with every vertex in at
+    most cap of them; with lex, the lexicographically least one."""
     deg = codegrees(edges, 1)
-    if all(d <= caps[v] for (v,), d in deg.items()):
+    if max(deg.values(), default=0) <= cap:
         return edges
     g = nx.Graph()
     for idx, (u, v) in enumerate(edges):
@@ -73,9 +54,9 @@ def _bmatching(edges: list[Edge], caps: dict[int, int], lex: bool) -> list[Edge]
         w = 1 << (len(edges) - 1 - idx) if lex else 1
         eu, ev = ("e", idx, 0), ("e", idx, 1)
         g.add_edge(eu, ev, weight=w)
-        for i in range(min(caps[u], deg[(u,)])):
+        for i in range(min(cap, deg[(u,)])):
             g.add_edge(eu, ("v", u, i), weight=w)
-        for i in range(min(caps[v], deg[(v,)])):
+        for i in range(min(cap, deg[(v,)])):
             g.add_edge(ev, ("v", v, i), weight=w)
     matching = nx.max_weight_matching(g, maxcardinality=True)
     # an edge is kept iff both its gadget ends are matched to vertex copies
@@ -140,36 +121,36 @@ def max_bounded_size(hp: Hypergraph, delta: float,
     Raises OracleSizeError for uniformity >= 3 beyond the edge cap.
     """
     if hp.k == 2 and hp.edges:
-        return len(_bmatching(list(hp.edges), _vertex_caps(hp, delta), lex=False))
+        return len(_bmatching(list(hp.edges), pow_floor(hp.n, delta), lex=False))
     return len(max_bounded_sub(hp, delta, exact_cap))
 
 
 def max_bounded_sub(hp: Hypergraph, delta: float,
-                    exact_cap: int = DEFAULT_EXACT_CAP) -> BoundedWitness:
+                    exact_cap: int = DEFAULT_EXACT_CAP) -> Hypergraph:
     """Exact maximum delta-bounded subhypergraph, lexicographically least
     among the maximum witnesses."""
     if hp.k == 1 or not hp.edges:
-        return BoundedWitness(hp, delta, True)
+        return hp
     edges = list(hp.edges)
     if hp.k == 2:
-        witness = _bmatching(edges, _vertex_caps(hp, delta), lex=True)
+        witness = _bmatching(edges, pow_floor(hp.n, delta), lex=True)
     elif len(edges) > exact_cap:
         raise OracleSizeError(
             f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
     else:
         witness = _bnb_max(edges, _level_caps(hp, delta))
-    return BoundedWitness(hp.restrict(witness), delta, True)
+    return hp.restrict(witness)
 
 
-def greedy_bounded_sub(hp: Hypergraph, delta: float) -> BoundedWitness:
+def greedy_bounded_sub(hp: Hypergraph, delta: float) -> Hypergraph:
     """Greedy lower bound: scan edges in canonical order, keep an edge iff
     no codegree cap is violated.  Fast fallback for large fibers."""
     if hp.k == 1:
-        return BoundedWitness(hp, delta, False)
+        return hp
     caps = _level_caps(hp, delta)
     counts: dict[Edge, int] = {}
     kept = [e for e in hp.edges if _admit(counts, _subsets(e, caps))]
-    return BoundedWitness(hp.restrict(kept), delta, False)
+    return hp.restrict(kept)
 
 
 def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .bounded import DEFAULT_EXACT_CAP, OracleSizeError
 from .core import HypergraphError
@@ -27,13 +28,6 @@ EXIT_OK = 0
 EXIT_CONDITION_FAIL = 1
 EXIT_USAGE = 2
 EXIT_STRICT_REFUSAL = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _unit_interval(name):
@@ -55,8 +49,8 @@ def _at_least(low):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hypercontainers",
-                     description="Deterministic hypergraph containers toolkit.")
+    parser = argparse.ArgumentParser(
+        prog="hypercontainers", description="Deterministic hypergraph containers toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
@@ -70,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--delta", type=_unit_interval("delta"), default=0.3,
                        help="boundedness target for --random (default 0.3)")
     p_gen.add_argument("--eps", type=_unit_interval("eps"), default=0.6,
-                       help="homogeneity target for --random (default 0.6)")
+                       help="unused: --random output does not depend on it")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", "-o", required=True)
 
@@ -102,12 +96,6 @@ def _add_run_flags(p):
     p.add_argument("--oracle-cap", type=_at_least(0), default=DEFAULT_EXACT_CAP)
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--output", "-o", default=None, help="also write report here")
-
-
-def _params_lines(params) -> str:
-    keys = ("k", "n", "pi", "eps", "delta", "sigma", "log2", "delta_p", "pi_p",
-            "pi_tilde", "eps_tilde", "eps_p", "sigma_p", "hyp_eps_ok", "hyp_pi_ok")
-    return "\n".join(f"{key} = {_fmt(getattr(params, key))}" for key in keys) + "\n"
 
 
 def _run_verification(h, args) -> tuple[VerificationReport, int]:
@@ -151,7 +139,8 @@ def main(argv=None) -> int:
 
         if args.command == "params":
             params = derive_params(args.k, args.pi, args.eps, args.n)
-            sys.stdout.write(_params_lines(params))
+            sys.stdout.write("".join(f"{f.name} = {_fmt(getattr(params, f.name))}\n"
+                                     for f in fields(params)))
             return EXIT_OK
 
         # verify or demo-ap

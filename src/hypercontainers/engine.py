@@ -31,7 +31,7 @@ from .bounded import (
     max_bounded_size,
     max_bounded_sub,
 )
-from .core import Hypergraph, cmp_log, nabla, vertex_fiber
+from .core import LOG_TOL, Hypergraph, cmp_log, nabla, vertex_fiber
 
 Fingerprint = frozenset[int]
 Print = tuple[Fingerprint, ...]
@@ -60,6 +60,7 @@ class Params:
     delta = 1 - pi and sigma = 3^(k-1) eps are the top-level constants;
     the primed/tilde constants drive the recursion at uniformity k - 1.
     The hypothesis flags are informational: derivation never rejects.
+    Like every threshold, they are compared within LOG_TOL.
     """
 
     k: int
@@ -101,8 +102,8 @@ def derive_params(k: int, pi: float, eps: float, n: int) -> Params:
         eps_tilde=eps + (k + 1) * log2,
         eps_p=2 * eps + 2 * k * log2,
         sigma_p=3.0 ** (k - 2) * (2 * eps + 2 * k * log2),
-        hyp_eps_ok=eps >= 2 * k * log2,
-        hyp_pi_ok=pi >= (k - 1) * log2,
+        hyp_eps_ok=eps - 2 * k * log2 >= -LOG_TOL,
+        hyp_pi_ok=pi - (k - 1) * log2 >= -LOG_TOL,
     )
 
 
@@ -116,7 +117,7 @@ class EngineContext:
     """
 
     def __init__(self, h: Hypergraph, params: Params, mode: str = "permissive",
-                 oracle_cap: int = DEFAULT_EXACT_CAP, debug: bool = False):
+                 oracle_cap: int = DEFAULT_EXACT_CAP):
         if mode not in ("strict", "permissive"):
             raise ValueError(f"unknown mode {mode!r}")
         if h.k != params.k or h.n != params.n:
@@ -129,11 +130,9 @@ class EngineContext:
         self.params = params
         self.mode = mode
         self.oracle_cap = oracle_cap
-        self.debug = debug
         self._fell_back = False
         self._fiber_size: dict[Fingerprint, int] = {}
         self._gf: dict[Fingerprint, tuple[Hypergraph, "EngineContext"]] = {}
-        self._hminus: dict[Fingerprint, tuple[Hypergraph, Hypergraph]] = {}
         self._containers: dict[tuple, frozenset[int]] = {}
 
     # -- oracle plumbing ---------------------------------------------------
@@ -179,34 +178,24 @@ class EngineContext:
         if not self.fingerprint_expanding(fs):
             raise EngineError(f"fingerprint {sorted(fs)} is not expanding")
         p = self.params
-        gf = self._oracle(max_bounded_sub, fs, lambda w: w).sub
-        child_params = derive_params(p.k - 1, p.pi_p, p.eps_p, p.n)
-        if self.debug and p.hyp_eps_ok and p.hyp_pi_ok:
-            # hypothesis preservation down the recursion
-            assert child_params.hyp_pi_ok
-        child = EngineContext(gf, child_params, mode=self.mode,
-                              oracle_cap=self.oracle_cap, debug=self.debug)
+        gf = self._oracle(max_bounded_sub, fs, lambda g: g)
+        child = EngineContext(gf, derive_params(p.k - 1, p.pi_p, p.eps_p, p.n),
+                              mode=self.mode, oracle_cap=self.oracle_cap)
         pair = (gf, child)
         self._gf[fs] = pair
         return pair
-
-    def homogeneous_witness(self, f) -> Hypergraph:
-        return self.child_for(f)[0]
 
     # -- the print relation ------------------------------------------------
 
     def print_of(self, independent) -> Print:
         """The print of an H-independent set.
 
-        Independence is the caller's responsibility; it is verified here
-        only when debug is set.
+        Independence is the caller's responsibility (verify checks it).
         """
         iset = frozenset(independent)
         h, p = self.h, self.params
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise EngineError("independent set has vertices outside X")
-        if self.debug:
-            self.check_independent(iset)
         if h.k == 1:
             return ()
         f: Fingerprint = frozenset()
@@ -220,16 +209,9 @@ class EngineContext:
                     if self.fingerprint_expanding(f):
                         break
             if not grown:
-                if self.debug and not self.heuristic_used:
-                    assert cmp_log(len(f), p.pi_tilde, p.n) < 0
                 return (f,)
         _gf, child = self.child_for(f)
         return (f,) + child.print_of(iset)
-
-    def check_independent(self, iset: frozenset[int]) -> None:
-        for e in self.h.edges:
-            if iset.issuperset(e):
-                raise NotIndependentError(f"set contains edge {e}")
 
     # -- the container relation --------------------------------------------
 
@@ -237,14 +219,10 @@ class EngineContext:
         """(H^-, H^) for a fingerprint F: H^ collects the edges with a
         (k-1)-subset in the fiber H_F or a t-subset of high degree in
         H_F, and H^- is the rest."""
-        fs = frozenset(f)
-        hit = self._hminus.get(fs)
-        if hit is not None:
-            return hit
         h, p = self.h, self.params
         if h.k < 2:
             raise EngineError("h_minus needs k >= 2")
-        hf = vertex_fiber(h, fs)
+        hf = vertex_fiber(h, frozenset(f))
         # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
         levels = [(h.k - 1, hf.edge_set)] + [
             (t, nabla(hf, t, p.delta)) for t in range(1, h.k - 1)]
@@ -252,10 +230,8 @@ class EngineContext:
         for e in h.edges:
             high = any(u in marked for t, marked in levels for u in combinations(e, t))
             (hat if high else rest).append(e)
-        pair = (Hypergraph(h.n, h.k, tuple(rest)),
+        return (Hypergraph(h.n, h.k, tuple(rest)),
                 Hypergraph(h.n, h.k, tuple(hat)))
-        self._hminus[fs] = pair
-        return pair
 
     def container_of(self, prnt: Print) -> frozenset[int]:
         """The container of a print.  Partial: defined on the image of

@@ -24,6 +24,7 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     """Random near-homogeneous instance: sample distinct k-sets uniformly
     until ceil(n^(1+(k-1)delta)) candidates, then trim greedily to a
     delta_target-bounded subhypergraph.  Deterministic per seed.
+    eps_target is not read: the output does not depend on it.
     """
     if n < 2 or k < 1:
         raise HypergraphError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
@@ -37,7 +38,7 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     while len(edges) < target:
         edges.add(tuple(sorted(rng.sample(range(n), k))))
     h = Hypergraph(n, k, tuple(sorted(edges)))
-    return greedy_bounded_sub(h, delta_target).sub
+    return greedy_bounded_sub(h, delta_target)
 
 
 def gen_ap(n: int, k: int) -> Hypergraph:

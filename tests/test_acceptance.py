@@ -151,8 +151,8 @@ def test_criterion_04_oracle_equivalence():
         for d in deltas:
             w = max_bounded_sub(h, d)
             assert len(w) == best[d]
-            assert is_bounded(w.sub, d)
-            assert set(w.sub.edges) <= set(h.edges)
+            assert is_bounded(w, d)
+            assert set(w.edges) <= set(h.edges)
             assert len(greedy_bounded_sub(h, d)) <= len(w)
 
 

@@ -35,14 +35,11 @@ STAR = new_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
 class TestExact:
     def test_star_capped(self):
         # vertex cap at delta=0.5 is 2; lexicographically least witness
-        w = max_bounded_sub(STAR, 0.5)
-        assert w.exact
-        assert w.sub.edges == ((0, 1), (0, 2))
+        assert max_bounded_sub(STAR, 0.5).edges == ((0, 1), (0, 2))
 
     def test_one_uniform_is_itself(self):
         h = new_hypergraph(5, 1, [(0,), (2,), (4,)])
-        w = max_bounded_sub(h, 0.0)
-        assert w.exact and w.sub.edges == h.edges
+        assert max_bounded_sub(h, 0.0).edges == h.edges
 
     def test_empty(self):
         w = max_bounded_sub(new_hypergraph(4, 2, []), 0.5)
@@ -76,7 +73,7 @@ def test_k2_witness_is_lexicographically_least():
     for _ in range(400):
         h = _random_graph(rng)
         for delta in (0.0, 0.2, 0.35, 0.5, 0.75, 1.0):
-            w = max_bounded_sub(h, delta).sub.edges
+            w = max_bounded_sub(h, delta).edges
             assert w == _bnb_max(list(h.edges), _level_caps(h, delta))
             binding += len(w) < len(h.edges)
     assert binding >= 100
@@ -117,7 +114,7 @@ def test_bounded_fiber_is_its_own_witness(monkeypatch, n, delta, seed):
     calls = _count_solves(monkeypatch)
     for f in chain(combinations(range(n), 1), combinations(range(n), 2)):
         hf = vertex_fiber(h, f)
-        assert max_bounded_sub(hf, p.delta_p).sub.edges == hf.edges
+        assert max_bounded_sub(hf, p.delta_p).edges == hf.edges
         assert max_bounded_size(hf, p.delta_p) == len(hf.edges)
     assert calls == []
 
@@ -130,7 +127,7 @@ def test_free_edges_kept_beside_a_hub(monkeypatch):
     h = new_hypergraph(16, 2, free + hub)
     assert _level_caps(h, 0.5)[1] == 4
     calls = _count_solves(monkeypatch)
-    w = max_bounded_sub(h, 0.5).sub.edges
+    w = max_bounded_sub(h, 0.5).edges
     assert len(calls) == 1
     assert set(free) <= set(w)
     assert w == tuple(free + hub[:4])
@@ -140,17 +137,15 @@ def test_free_edges_kept_beside_a_hub(monkeypatch):
 
 class TestGreedy:
     def test_star_scan(self):
-        w = greedy_bounded_sub(STAR, 0.5)
-        assert not w.exact
-        assert w.sub.edges == ((0, 1), (0, 2))
+        assert greedy_bounded_sub(STAR, 0.5).edges == ((0, 1), (0, 2))
 
     def test_already_bounded_kept(self):
         h = new_hypergraph(6, 2, [(0, 1), (2, 3), (4, 5)])
-        assert greedy_bounded_sub(h, 0.0).sub.edges == h.edges
+        assert greedy_bounded_sub(h, 0.0).edges == h.edges
 
     def test_triangle_delta_zero(self):
         h = new_hypergraph(4, 2, [(0, 1), (0, 2), (1, 2)])
-        assert greedy_bounded_sub(h, 0.0).sub.edges == ((0, 1),)
+        assert greedy_bounded_sub(h, 0.0).edges == ((0, 1),)
 
 
 @given(hypergraphs(n_max=8, m_max=9))
@@ -159,8 +154,8 @@ def test_exact_matches_brute_force(h):
     for delta in (0.0, 0.25, 0.5, 0.75, 1.0):
         w = max_bounded_sub(h, delta)
         assert len(w) == brute_force_max_bounded(h, delta)
-        assert is_bounded(w.sub, delta)
-        assert set(w.sub.edges) <= set(h.edges)
+        assert is_bounded(w, delta)
+        assert set(w.edges) <= set(h.edges)
         assert len(greedy_bounded_sub(h, delta)) <= len(w)
 
 

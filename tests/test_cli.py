@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from hypercontainers.cli import main
+from hypercontainers.engine import Params
 
 
 def run(*argv):
@@ -35,6 +38,12 @@ class TestParams:
         assert "delta = 0.3\n" in out
         assert "sigma = 0.6\n" in out
         assert "hyp_eps_ok = true" in out
+
+    def test_every_field_once_in_order(self, capsys):
+        assert run("params", "--k", "3", "--pi", "0.6", "--eps", "0.4",
+                   "--n", "1000") == 0
+        keys = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == [f.name for f in fields(Params)]
 
     def test_k1_sigma_is_eps(self, capsys):
         assert run("params", "--k", "1", "--pi", "0.5", "--eps", "0.25",

@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hypercontainers.core import (
     Hypergraph,
@@ -19,14 +20,13 @@ from hypercontainers.bounded import OracleSizeError, max_bounded_size
 from hypercontainers.engine import (
     EngineContext,
     EngineError,
-    NotIndependentError,
     PrintDomainError,
     StrictModeError,
     derive_params,
     print_union,
 )
 from hypercontainers.instances import gen_random
-from hypercontainers.verify import enumerate_independent_sets
+from hypercontainers.verify import enumerate_independent_sets, verify
 
 from conftest import random_hypergraph
 
@@ -69,6 +69,24 @@ class TestDeriveParams:
             assert abs(lhs - rhs) < 1e-12
 
 
+@given(k=st.integers(2, 6), n=st.integers(2, 1 << 30), pi=st.floats(0.0, 1.0),
+       eps=st.floats(0.0, 1.0), tie=st.booleans())
+@example(k=3, n=1024, pi=0.2, eps=0.6, tie=False)
+@example(k=4, n=4096, pi=0.25, eps=0.67, tie=False)
+@settings(max_examples=200, deadline=None)
+def test_hypotheses_preserved_down_the_recursion(k, n, pi, eps, tie):
+    # pi' = pi - log_n 2 at uniformity k - 1, so both hypotheses carry
+    # over exactly, ties included
+    if tie:
+        log2 = math.log(2) / math.log(n)
+        pi, eps = (k - 1) * log2, 2 * k * log2
+    p = derive_params(k, pi, eps, n)
+    assume(p.hyp_eps_ok and p.hyp_pi_ok)
+    while p.k > 1:
+        p = derive_params(p.k - 1, p.pi_p, p.eps_p, n)
+        assert p.hyp_eps_ok and p.hyp_pi_ok
+
+
 def _ctx(h, pi, eps, **kw):
     return EngineContext(h, derive_params(h.k, pi, eps, h.n), **kw)
 
@@ -86,11 +104,6 @@ class TestPrintOf:
         h = new_hypergraph(4, 2, [(0, 1)])
         with pytest.raises(EngineError):
             _ctx(h, 0.5, 0.5).print_of({7})
-
-    def test_debug_rejects_dependent_set(self):
-        h = new_hypergraph(4, 2, [(0, 1)])
-        with pytest.raises(NotIndependentError):
-            _ctx(h, 0.5, 0.5, debug=True).print_of({0, 1})
 
     def test_length_bound_and_level_budgets(self):
         rng = random.Random(3)
@@ -155,6 +168,38 @@ class TestPrintOf:
         iset = frozenset(iset)
         assert ctx.print_of(iset) == reference_print(ctx, iset)
 
+    def test_nonexpanding_print_is_below_n_pi_tilde(self):
+        # F satisfies the growth inequality but is not expanding, and the
+        # two thresholds differ by pi~, so |F| < n^pi~ in any regime
+        rng = random.Random(5)
+        star = Hypergraph(16384, 2, tuple((0, v) for v in range(1, 41)))
+        cases = [(star, 0.75, 0.3, [frozenset(range(1, 41))])]
+        for k, m, pi, eps in ((2, 60, 0.75, 0.3), (3, 100, 0.9, 0.05)):
+            edges = {tuple(sorted(rng.sample(range(60), k))) for _ in range(m)}
+            h = Hypergraph(16384, k, tuple(sorted(edges)))
+            isets = []
+            for _ in range(100):
+                iset = set()
+                for v in rng.sample(range(60), rng.randint(1, 12)):
+                    if not any(set(e) <= iset | {v} for e in h.incidence.get(v, ())):
+                        iset.add(v)
+                isets.append(frozenset(iset))
+            cases.append((h, pi, eps, isets))
+        sizes = []
+        for h, pi, eps, isets in cases:
+            ctx = _ctx(h, pi, eps)
+            for iset in isets:
+                level = ctx
+                for f in ctx.print_of(iset):
+                    if not level.fingerprint_expanding(f):
+                        assert cmp_log(len(f), level.params.pi_tilde, h.n) < 0
+                        sizes.append(len(f))
+                        break
+                    level = level.child_for(f)[1]
+            assert not ctx.heuristic_used
+        # the star's leaves stop growing at 6 < 16384^pi~ ~ 19.7
+        assert sizes[0] == 6 and sum(s > 0 for s in sizes) >= 50
+
     def test_determinism_across_contexts(self):
         h = gen_random(10, 3, 1 / 3, 0.5, seed=4)
         sets = list(enumerate_independent_sets(h))[::11]
@@ -177,25 +222,25 @@ class TestHomogeneousWitness:
 
     def test_witness_is_homogeneous(self):
         ctx, f = self._expanding_setup()
-        g = ctx.homogeneous_witness(f)
+        g = ctx.child_for(f)[0]
         assert is_homogeneous(g, ctx.params.delta_p, ctx.params.eps_p)
         assert set(g.edges) <= set(vertex_fiber(ctx.h, f).edges)
 
     def test_witness_deterministic(self):
         ctx, f = self._expanding_setup()
-        assert ctx.homogeneous_witness(f).edges == ctx.homogeneous_witness(f).edges
+        assert ctx.child_for(f)[0].edges == ctx.child_for(f)[0].edges
 
     def test_k2_full_fiber_when_large(self):
         # 1-uniform fibers are vacuously bounded: witness is the fiber itself
         ctx, f = self._expanding_setup()
-        g = ctx.homogeneous_witness(f)
+        g = ctx.child_for(f)[0]
         assert g.edges == vertex_fiber(ctx.h, f).edges
 
     def test_not_expanding_raises(self):
         h = new_hypergraph(8, 2, [(0, 1)])
         ctx = _ctx(h, 0.5, 0.1)
         with pytest.raises(EngineError):
-            ctx.homogeneous_witness(frozenset({5}))
+            ctx.child_for(frozenset({5}))
 
 
 class TestHMinus:
@@ -313,6 +358,14 @@ class TestModes:
         params = derive_params(2, 0.5, 0.1, 8)  # eps < 4 log_8 2
         with pytest.raises(StrictModeError):
             EngineContext(h, params, mode="strict")
+
+    def test_strict_child_accepts_hypothesis_tie(self):
+        # pi = 2 log_1024 2 exactly; the child's pi' = log_1024 2 must keep
+        # its hypothesis flag whichever way the subtraction rounds
+        h = Hypergraph(1024, 3, tuple((0, 2 * i + 1, 2 * i + 2) for i in range(300)))
+        ctx = EngineContext(h, derive_params(3, 0.2, 0.6, h.n), mode="strict")
+        assert ctx.print_of({0}) == (frozenset({0}), frozenset())
+        assert verify(ctx, [frozenset({0})]).all_conditions_pass()
 
     def test_permissive_falls_back_to_greedy(self):
         rng = random.Random(31)
