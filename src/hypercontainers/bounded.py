@@ -139,7 +139,7 @@ def max_bounded_sub(hp: Hypergraph, delta: float,
             f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
     else:
         witness = _bnb_max(edges, _level_caps(hp, delta))
-    return hp.restrict(witness)
+    return Hypergraph(hp.n, hp.k, tuple(witness))
 
 
 def greedy_bounded_sub(hp: Hypergraph, delta: float) -> Hypergraph:
@@ -150,7 +150,7 @@ def greedy_bounded_sub(hp: Hypergraph, delta: float) -> Hypergraph:
     caps = _level_caps(hp, delta)
     counts: dict[Edge, int] = {}
     kept = [e for e in hp.edges if _admit(counts, _subsets(e, caps))]
-    return hp.restrict(kept)
+    return Hypergraph(hp.n, hp.k, tuple(kept))
 
 
 def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:

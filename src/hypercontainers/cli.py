@@ -94,7 +94,6 @@ def _add_run_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--enum-cap", type=_at_least(0), default=DEFAULT_ENUM_CAP)
     p.add_argument("--oracle-cap", type=_at_least(0), default=DEFAULT_EXACT_CAP)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--output", "-o", default=None, help="also write report here")
 
 
@@ -105,7 +104,7 @@ def _run_verification(h, args) -> tuple[VerificationReport, int]:
         enumerated = h.n <= args.enum_cap
         sets = (enumerate_independent_sets(h, cap=args.enum_cap) if enumerated
                 else sample_independent_sets(h, args.samples, args.seed))
-        report = verify(ctx, sets, enumerated=enumerated, jobs=args.jobs)
+        report = verify(ctx, sets, enumerated=enumerated)
     except (StrictModeError, OracleSizeError) as exc:
         # in permissive mode the engine never lets OracleSizeError escape
         print(f"strict mode refused to run: {exc}", file=sys.stderr)

@@ -112,14 +112,6 @@ class Hypergraph:
         """Union of all edges."""
         return frozenset(v for e in self.edges for v in e)
 
-    def restrict(self, keep: Iterable[Edge]) -> "Hypergraph":
-        """Subhypergraph with the given subset of edges, canonical order."""
-        keep = frozenset(keep)
-        bad = keep - self.edge_set
-        if bad:
-            raise HypergraphError(f"edges not in hypergraph: {sorted(bad)[:3]}")
-        return Hypergraph(self.n, self.k, tuple(sorted(keep)))
-
 
 def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
     """Validate and canonicalize: sorted edges, deduplicated, vertices in range."""
@@ -138,16 +130,6 @@ def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph
     return Hypergraph(n, k, tuple(sorted(canon)))
 
 
-def _check_arity(sets: Iterable[Iterable[int]], ell: int, what: str) -> list[Edge]:
-    out = []
-    for raw in sets:
-        u = tuple(sorted(set(raw)))
-        if len(u) != ell:
-            raise HypergraphError(f"{what} {tuple(raw)} is not a {ell}-set")
-        out.append(u)
-    return out
-
-
 def fiber(h: Hypergraph, us: Iterable[Iterable[int]]) -> Hypergraph:
     """Fiber of h over a collection of ell-sets: all (k-ell)-sets v with
     u | v an edge for some u in the collection (u and v disjoint)."""
@@ -157,7 +139,9 @@ def fiber(h: Hypergraph, us: Iterable[Iterable[int]]) -> Hypergraph:
     ell = len(us[0])
     if not 1 <= ell < h.k:
         raise HypergraphError(f"fiber level {ell} out of range for k={h.k}")
-    us = _check_arity(us, ell, "fiber element")
+    for u in us:
+        if len(u) != ell:
+            raise HypergraphError(f"fiber element {u} is not a {ell}-set")
     out: set[Edge] = set()
     for e in h.edges:
         es = set(e)

@@ -53,7 +53,7 @@ def gen_ap(n: int, k: int) -> Hypergraph:
     for d in range(1, (n - 1) // (k - 1) + 1):
         for a in range(n - (k - 1) * d):
             edges.append(tuple(a + i * d for i in range(k)))
-    return Hypergraph(n, k, tuple(sorted(set(edges))))
+    return Hypergraph(n, k, tuple(sorted(edges)))
 
 
 def write_edge_list(h: Hypergraph, path) -> None:

@@ -58,16 +58,14 @@ def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
     rng = random.Random(seed)
     order = list(h.vertices)
     rng.shuffle(order)
-    chosen: set[int] = set()
+    taken: set[int] = set()
     for v in order:
-        ok = True
-        for e in h.incidence.get(v, ()):
-            if all(w in chosen for w in e if w != v):
-                ok = False
-                break
-        if ok:
-            chosen.add(v)
-    return frozenset(chosen)
+        taken.add(v)
+        if any(map(taken.issuperset, h.incidence.get(v, ()))):
+            taken.discard(v)
+    # sample_independent_sets subsamples in iteration order, which for ints
+    # depends on insertion history: rebuild add-only, in draw order
+    return frozenset({v for v in order if v in taken})
 
 
 def sample_independent_sets(h: Hypergraph, count: int, seed: int):
@@ -227,16 +225,15 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     diag_n = 0
     diag_min = -1
     diag_quarter = "na"
-    expanding_check = getattr(ctx, "fingerprint_expanding", None)
-    if expanding_check is not None and h.k >= 2:
-        quarter = 0.25 * h.n ** (1 - p.eps)
+    if h.k >= 2:
         quarter_ok = True
-        for key, (prnt, cont) in print_containers.items():
-            if len(prnt) == 1 and not expanding_check(prnt[0]):
+        for prnt, cont in print_containers.values():
+            if len(prnt) == 1 and not ctx.fingerprint_expanding(prnt[0]):
                 diag_n += 1
                 comp = len(x - cont)
                 diag_min = comp if diag_min < 0 else min(diag_min, comp)
-                if comp < quarter:
+                # |X \ C| >= n^(1-eps) / 4
+                if cmp_log(4 * comp, 1 - p.eps, h.n) < 0:
                     quarter_ok = False
         if diag_n and p.hyp_eps_ok and p.hyp_pi_ok:
             diag_quarter = "true" if quarter_ok else "false"
@@ -249,8 +246,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         bounded=is_bounded(h, p.delta),
         homogeneous=is_homogeneous(h, p.delta, p.eps),
         params=p,
-        mode=getattr(ctx, "mode", "permissive"),
-        oracle_mode="heuristic" if getattr(ctx, "heuristic_used", False) else "exact",
+        mode=ctx.mode,
+        oracle_mode="heuristic" if ctx.heuristic_used else "exact",
         method="enumeration" if enumerated else "sampling",
         samples=len(sets),
         cond_i=cond_i,

@@ -135,6 +135,25 @@ def test_free_edges_kept_beside_a_hub(monkeypatch):
     assert max_bounded_size(h, 0.5) == len(w)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_witnesses_are_canonical_subsequences(k):
+    # every route builds its witness by scanning hp.edges in order, so the
+    # kept edges are a subsequence of hp.edges with nothing re-sorted
+    rng = random.Random(k)
+    binding = 0
+    for _ in range(60):
+        n = rng.randint(k + 1, 9)
+        m = rng.randint(1, min(14, math.comb(n, k)))
+        h = Hypergraph(n, k, tuple(sorted(rng.sample(list(combinations(range(n), k)), m))))
+        for delta in (0.0, 0.25, 0.5):
+            for w in (max_bounded_sub(h, delta), greedy_bounded_sub(h, delta)):
+                assert (w.n, w.k) == (h.n, h.k)
+                rest = iter(h.edges)
+                assert all(e in rest for e in w.edges)
+                binding += len(w) < len(h)
+    assert binding >= 100
+
+
 class TestGreedy:
     def test_star_scan(self):
         assert greedy_bounded_sub(STAR, 0.5).edges == ((0, 1), (0, 2))

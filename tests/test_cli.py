@@ -113,8 +113,7 @@ class TestVerify:
 
 
     @pytest.mark.parametrize("flag", [("--samples", "0"), ("--samples", "-3"),
-                                      ("--jobs", "0"), ("--enum-cap", "-1"),
-                                      ("--oracle-cap", "-1")])
+                                      ("--enum-cap", "-1"), ("--oracle-cap", "-1")])
     @pytest.mark.parametrize("eps, mode", [("0.6", "permissive"), ("0.1", "strict")])
     def test_invalid_count_flag_exit_2(self, tmp_path, capsys, flag, eps, mode):
         # eps=0.1 fails the hypothesis flags, which strict mode would refuse

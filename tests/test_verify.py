@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -73,6 +74,41 @@ class TestSampling:
         for s in sample_independent_sets(h, 20, seed=1):
             assert not any(s.issuperset(e) for e in h.edges)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_draw_rule_at_every_uniformity(self, k):
+        # restated: along the seeded shuffle of range(n), take v unless some
+        # edge through v has all its other vertices taken.  The odd draws of
+        # sample_independent_sets subsample a set in its iteration order, so
+        # the order must match too: that of an add-only set filled in draw order
+        def reference(h, seed):
+            through = {}
+            for e in h.edges:
+                for w in e:
+                    through.setdefault(w, []).append(e)
+            order = list(range(h.n))
+            random.Random(seed).shuffle(order)
+            taken = set()
+            for v in order:
+                if not any(all(w in taken for w in e if w != v)
+                           for e in through.get(v, ())):
+                    taken.add(v)
+            return frozenset(taken)
+
+        rng = random.Random(k)
+        rejected = 0
+        for n_max, m_max in [(12, 30)] * 40 + [(600, 1500)] * 4:
+            n = rng.randint(k + 1, n_max)
+            m = rng.randint(0, min(m_max, math.comb(n, k)))
+            edges = set()
+            while len(edges) < m:
+                edges.add(tuple(sorted(rng.sample(range(n), k))))
+            h = new_hypergraph(n, k, edges)
+            for seed in range(3):
+                got = sample_independent_set(h, seed)
+                assert list(got) == list(reference(h, seed))
+                rejected += len(got) < h.n
+        assert rejected >= 60
+
     def test_negative_count_raises_at_the_call(self):
         h = gen_random(30, 2, 0.3, 0.6, seed=8)
         with pytest.raises(ValueError):
@@ -107,6 +143,16 @@ class TestVerify:
         ctx = EngineContext(h, derive_params(2, 0.5, 0.5, 4))
         with pytest.raises(NotIndependentError, match=r"\(0, 1\)"):
             verify(ctx, [frozenset({0, 1})])
+
+    def test_quarter_bound_tie_holds(self):
+        # |X \ C| = 4 = 1024^0.4 / 4 exactly, where a float quarter of
+        # n^(1-eps) reads 4.000000000000001
+        h = new_hypergraph(1024, 2, [(0, 1), (2, 3)])
+        ctx = EngineContext(h, derive_params(2, 0.2, 0.6, 1024), mode="strict")
+        rep = verify(ctx, [frozenset()])
+        assert rep.diag_nonexpanding_prints == 1
+        assert rep.diag_min_complement == 4
+        assert rep.diag_quarter_ok == "true"
 
     def test_jobs_do_not_change_report(self):
         h = gen_random(11, 2, 0.3, 0.6, seed=6)
