@@ -4,8 +4,6 @@ from .core import (
     Hypergraph,
     HypergraphError,
     cmp_log,
-    degree,
-    fiber,
     is_bounded,
     is_homogeneous,
     ldeg,
@@ -13,16 +11,13 @@ from .core import (
     max_degree,
     nabla,
     new_hypergraph,
-    section,
     vertex_fiber,
 )
 from .bounded import (
     OracleSizeError,
     greedy_bounded_sub,
-    is_expanding,
     max_bounded_size,
     max_bounded_sub,
-    satisfies_expansive,
 )
 from .engine import (
     EngineContext,

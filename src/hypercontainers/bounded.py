@@ -1,6 +1,4 @@
-"""Oracle for the maximum delta-bounded subhypergraph and the two
-fingerprint predicates ("expanding" and the per-element growth
-inequality) built on top of it.
+"""Oracle for the maximum delta-bounded subhypergraph.
 
 Exact routes:
   * 1-uniform: every subhypergraph is bounded, so the answer is the input.
@@ -28,7 +26,7 @@ from itertools import combinations
 
 import networkx as nx
 
-from .core import Edge, Hypergraph, cmp_log, codegrees, log_size, pow_floor, vertex_fiber
+from .core import Edge, Hypergraph, codegrees, pow_floor
 
 DEFAULT_EXACT_CAP = 24
 
@@ -151,67 +149,3 @@ def greedy_bounded_sub(hp: Hypergraph, delta: float) -> Hypergraph:
     counts: dict[Edge, int] = {}
     kept = [e for e in hp.edges if _admit(counts, _subsets(e, caps))]
     return Hypergraph(hp.n, hp.k, tuple(kept))
-
-
-def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:
-    """Independent oracle: exhaustive DFS over all edge subsets with
-    incremental codegree counters.  For tests on small instances only."""
-    if hp.k == 1:
-        return len(hp.edges)
-    caps = _level_caps(hp, delta)
-    edges = list(hp.edges)
-    counts: dict[Edge, int] = {}
-    best = 0
-
-    def rec(i: int, size: int) -> None:
-        nonlocal best
-        if i == len(edges):
-            best = max(best, size)
-            return
-        e = edges[i]
-        subs = [(u, ell) for ell in caps for u in combinations(e, ell)]
-        if all(counts.get(u, 0) < caps[ell] for u, ell in subs):
-            for u, _ell in subs:
-                counts[u] = counts.get(u, 0) + 1
-            rec(i + 1, size + 1)
-            for u, _ell in subs:
-                counts[u] -= 1
-        rec(i + 1, size)
-
-    rec(0, 0)
-    return best
-
-
-def expanding(h: Hypergraph, f: frozenset[int], params, size_of) -> bool:
-    """F is expanding: log |H_F|_{delta'} >= 1 + (k-2) delta' - eps',
-    where size_of(F) gives |H_F|_{delta'}.  The empty set never is."""
-    if not f:
-        return False
-    return cmp_log(size_of(f), 1 + (h.k - 2) * params.delta_p - params.eps_p, h.n) >= 0
-
-
-def expansive(h: Hypergraph, f: frozenset[int], params, size_of) -> bool:
-    """Per-element growth inequality:
-    log |H_F|_{delta'} >= log|F| + (k-1) delta' - eps~,
-    where size_of(F) gives |H_F|_{delta'}.
-
-    The empty set satisfies it (both sides are log 0)."""
-    if not f:
-        return True
-    tau = log_size(len(f), h.n) + (h.k - 1) * params.delta_p - params.eps_tilde
-    return cmp_log(size_of(f), tau, h.n) >= 0
-
-
-def _exact_fiber_size(h: Hypergraph, params, exact_cap: int):
-    return lambda fs: max_bounded_size(vertex_fiber(h, fs), params.delta_p, exact_cap)
-
-
-def is_expanding(h: Hypergraph, f, params, exact_cap: int = DEFAULT_EXACT_CAP) -> bool:
-    """expanding() with the exact oracle."""
-    return expanding(h, frozenset(f), params, _exact_fiber_size(h, params, exact_cap))
-
-
-def satisfies_expansive(h: Hypergraph, f, params,
-                        exact_cap: int = DEFAULT_EXACT_CAP) -> bool:
-    """expansive() with the exact oracle."""
-    return expansive(h, frozenset(f), params, _exact_fiber_size(h, params, exact_cap))

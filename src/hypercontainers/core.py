@@ -130,27 +130,6 @@ def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph
     return Hypergraph(n, k, tuple(sorted(canon)))
 
 
-def fiber(h: Hypergraph, us: Iterable[Iterable[int]]) -> Hypergraph:
-    """Fiber of h over a collection of ell-sets: all (k-ell)-sets v with
-    u | v an edge for some u in the collection (u and v disjoint)."""
-    us = [tuple(sorted(set(u))) for u in us]
-    if not us:
-        return Hypergraph(h.n, max(h.k - 1, 1), ())
-    ell = len(us[0])
-    if not 1 <= ell < h.k:
-        raise HypergraphError(f"fiber level {ell} out of range for k={h.k}")
-    for u in us:
-        if len(u) != ell:
-            raise HypergraphError(f"fiber element {u} is not a {ell}-set")
-    out: set[Edge] = set()
-    for e in h.edges:
-        es = set(e)
-        for u in us:
-            if es.issuperset(u):
-                out.add(tuple(sorted(es - set(u))))
-    return Hypergraph(h.n, h.k - ell, tuple(sorted(out)))
-
-
 def vertex_fiber(h: Hypergraph, f: Iterable[int]) -> Hypergraph:
     """Fiber over a vertex set F, i.e. the union of the links of its vertices."""
     if h.k < 2:
@@ -160,18 +139,6 @@ def vertex_fiber(h: Hypergraph, f: Iterable[int]) -> Hypergraph:
         for e in h.incidence.get(v, ()):
             out.add(tuple(x for x in e if x != v))
     return Hypergraph(h.n, h.k - 1, tuple(sorted(out)))
-
-
-def degree(h: Hypergraph, u: Iterable[int]) -> int:
-    """Number of (k-ell)-sets completing the ell-set u to an edge."""
-    u = tuple(sorted(set(u)))
-    if not 1 <= len(u) < h.k:
-        raise HypergraphError(f"degree level {len(u)} out of range for k={h.k}")
-    if u[0] < 0 or u[-1] >= h.n:
-        raise HypergraphError(f"vertex set {u} outside [0, {h.n})")
-    us = set(u)
-    anchor = h.incidence.get(u[0], ())
-    return sum(1 for e in anchor if us.issubset(e))
 
 
 def codegrees(edges: Iterable[Edge], ell: int) -> dict[Edge, int]:
@@ -189,32 +156,6 @@ def max_degree(h: Hypergraph, ell: int) -> int:
     if not 1 <= ell < h.k:
         raise HypergraphError(f"level {ell} out of range for k={h.k}")
     return h.max_degrees[ell - 1]
-
-
-def section(h: Hypergraph, us: Iterable[Iterable[int]],
-            vs: Iterable[Iterable[int]]) -> frozenset[Edge]:
-    """[U, V]_h: edges decomposable as u | v with u in U, v in V, disjoint."""
-    us = [frozenset(u) for u in us]
-    vs = {frozenset(v) for v in vs}
-    if not us or not vs:
-        return frozenset()
-    ell = len(us[0])
-    if not 1 <= ell < h.k:
-        raise HypergraphError(f"section level {ell} out of range for k={h.k}")
-    for u in us:
-        if len(u) != ell:
-            raise HypergraphError("inconsistent arities in U")
-    for v in vs:
-        if len(v) != h.k - ell:
-            raise HypergraphError("arity mismatch between U and V")
-    out = set()
-    for e in h.edges:
-        es = frozenset(e)
-        for u in us:
-            if u <= es and (es - u) in vs:
-                out.add(e)
-                break
-    return frozenset(out)
 
 
 def ldeg(h: Hypergraph) -> float:

@@ -25,13 +25,11 @@ from itertools import combinations
 from .bounded import (
     DEFAULT_EXACT_CAP,
     OracleSizeError,
-    expanding,
-    expansive,
     greedy_bounded_sub,
     max_bounded_size,
     max_bounded_sub,
 )
-from .core import LOG_TOL, Hypergraph, cmp_log, nabla, vertex_fiber
+from .core import LOG_TOL, Hypergraph, cmp_log, log_size, nabla, vertex_fiber
 
 Fingerprint = frozenset[int]
 Print = tuple[Fingerprint, ...]
@@ -165,7 +163,25 @@ class EngineContext:
         return hit
 
     def fingerprint_expanding(self, f) -> bool:
-        return expanding(self.h, frozenset(f), self.params, self._bounded_fiber_size)
+        """F is expanding: log |H_F|_{delta'} >= 1 + (k-2) delta' - eps'.
+        The empty set never is."""
+        fs = frozenset(f)
+        if not fs:
+            return False
+        p = self.params
+        return cmp_log(self._bounded_fiber_size(fs),
+                       1 + (p.k - 2) * p.delta_p - p.eps_p, p.n) >= 0
+
+    def fingerprint_expansive(self, f) -> bool:
+        """The per-element growth inequality:
+        log |H_F|_{delta'} >= log|F| + (k-1) delta' - eps~.
+        The empty set satisfies it (both sides are log 0)."""
+        fs = frozenset(f)
+        if not fs:
+            return True
+        p = self.params
+        tau = log_size(len(fs), p.n) + (p.k - 1) * p.delta_p - p.eps_tilde
+        return cmp_log(self._bounded_fiber_size(fs), tau, p.n) >= 0
 
     # -- recursion ---------------------------------------------------------
 
@@ -204,7 +220,7 @@ class EngineContext:
             for x in sorted(iset - f):
                 cand = f | {x}
                 if (cmp_log(len(cand), p.pi, p.n) <= 0
-                        and expansive(h, cand, p, self._bounded_fiber_size)):
+                        and self.fingerprint_expansive(cand)):
                     f, grown = cand, True
                     if self.fingerprint_expanding(f):
                         break

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
-from .engine import EngineError, NotIndependentError, Print, print_union
+from .engine import EngineError, NotIndependentError, Params, Print, print_union
 
 DEFAULT_ENUM_CAP = 20
 
@@ -96,7 +96,7 @@ class VerificationReport:
     ldeg: float
     bounded: bool
     homogeneous: bool
-    params: object
+    params: Params
     mode: str
     oracle_mode: str
     method: str
@@ -121,28 +121,16 @@ class VerificationReport:
     def all_conditions_pass(self) -> bool:
         return self.cond_i and self.cond_ii and self.cond_iii and self.cond_iv
 
-    _KEYS = (
-        "n", "k", "edges", "ldeg", "bounded", "homogeneous",
-        "pi", "eps", "delta", "sigma", "log2", "delta_p", "pi_p",
-        "pi_tilde", "eps_tilde", "eps_p", "sigma_p",
-        "hyp_eps_ok", "hyp_pi_ok",
-        "mode", "oracle_mode", "method", "samples",
-        "cond_i", "cond_ii", "cond_iii", "cond_iv",
-        "cond_iii_counterexample", "cond_iv_counterexample",
-        "containers_distinct",
-        "complement_log_min", "complement_log_max", "complement_log_mean",
-        "diag_nonexpanding_prints", "diag_min_complement", "diag_quarter_ok",
-        "counting_lhs", "counting_rhs",
-    )
-
     def to_text(self) -> str:
+        """One `key = value` line per field in declaration order, with the
+        parameters' fields (but k and n) where `params` stands."""
         lines = []
-        for key in self._KEYS:
-            if hasattr(self, key):
-                val = getattr(self, key)
-            else:
-                val = getattr(self.params, key)
-            lines.append(f"{key} = {_fmt(val)}")
+        for f in fields(self):
+            if f.name == "params":
+                lines += [f"{g.name} = {_fmt(getattr(self.params, g.name))}"
+                          for g in fields(self.params) if g.name not in ("k", "n")]
+            elif f.repr:
+                lines.append(f"{f.name} = {_fmt(getattr(self, f.name))}")
         return "\n".join(lines) + "\n"
 
 

@@ -228,3 +228,19 @@ def test_criterion_08_scale_smoke(tmp_path, capsys):
     assert "samples = 1000" in text
     assert "cond_iii = true" in text
     assert time.monotonic() - start < 300
+
+
+@criterion(9, "non-vacuous strict regime (sigma < 1)")
+def test_criterion_09_nonvacuous_regime():
+    # the paper's regime at desk scale: both hypothesis flags hold and
+    # condition (iv) demands log_n |X \ C| >= 1 - sigma > 0
+    start = time.monotonic()
+    h = gen_random(16384, 2, 0.25, 0.3, 1)
+    ctx = EngineContext(h, derive_params(h.k, 0.75, 0.3, h.n), mode="strict")
+    rep = verify(ctx, sample_independent_sets(h, 8, 1))
+    p = rep.params
+    assert p.sigma == pytest.approx(0.9)
+    assert p.hyp_eps_ok and p.hyp_pi_ok
+    assert rep.all_conditions_pass()
+    assert rep.complement_log_min > 1 - p.sigma > 0
+    assert time.monotonic() - start < 60

@@ -10,12 +10,9 @@ from hypercontainers.bounded import (
     OracleSizeError,
     _bnb_max,
     _level_caps,
-    brute_force_max_bounded,
     greedy_bounded_sub,
-    is_expanding,
     max_bounded_size,
     max_bounded_sub,
-    satisfies_expansive,
 )
 from hypercontainers.core import (
     Hypergraph,
@@ -24,10 +21,11 @@ from hypercontainers.core import (
     new_hypergraph,
     vertex_fiber,
 )
-from hypercontainers.engine import derive_params
+from hypercontainers.engine import EngineContext, derive_params
 from hypercontainers.instances import gen_random
 
 from conftest import hypergraphs, random_hypergraph
+from reference import brute_force_max_bounded
 
 STAR = new_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
 
@@ -196,27 +194,27 @@ def test_fiber_monotone_in_fingerprint(h):
 
 class TestPredicates:
     def test_empty_fingerprint_never_expanding(self):
-        p = derive_params(2, 0.7, 0.2, 16)
-        assert not is_expanding(STAR, frozenset(), p)
+        p = derive_params(2, 0.7, 0.2, STAR.n)
+        assert not EngineContext(STAR, p).fingerprint_expanding(frozenset())
 
     def test_empty_fingerprint_expansive(self):
-        p = derive_params(2, 0.7, 0.2, 16)
-        assert satisfies_expansive(STAR, frozenset(), p)
+        p = derive_params(2, 0.7, 0.2, STAR.n)
+        assert EngineContext(STAR, p).fingerprint_expansive(frozenset())
 
     def test_singleton_empty_fiber_not_expansive(self):
         h = new_hypergraph(8, 2, [(0, 1)])
         p = derive_params(2, 0.9, 0.1, 8)
         # vertex 5 is isolated: fiber empty, positive threshold
-        assert not satisfies_expansive(h, {5}, p)
+        assert not EngineContext(h, p).fingerprint_expansive({5})
 
     def test_expanding_fixed_threshold(self):
         # n=16, k=2: threshold n^(1-eps') with eps'=0.5 is 4; |H_F| = 5
         h = new_hypergraph(16, 2, [(0, v) for v in range(1, 6)])
         p = derive_params(2, 0.7, 0.2, 16)
         p = type(p)(**{**p.__dict__, "eps_p": 0.5, "delta_p": 1.0})
-        assert is_expanding(h, {0}, p)
+        assert EngineContext(h, p).fingerprint_expanding({0})
         h4 = new_hypergraph(16, 2, [(0, v) for v in range(1, 4)])
-        assert not is_expanding(h4, {0}, p)
+        assert not EngineContext(h4, p).fingerprint_expanding({0})
 
     def test_expansive_fixed_arithmetic(self):
         # |F| = 2, 1-uniform fiber of size 7, per-element threshold 3: 7 >= 6
@@ -226,9 +224,9 @@ class TestPredicates:
         p = derive_params(2, 0.7, 0.2, n)
         tau = math.log(3, n)  # threshold n^tau = 3 per element
         p = type(p)(**{**p.__dict__, "delta_p": tau, "eps_tilde": 0.0})
-        assert satisfies_expansive(h, {0, 1}, p)
+        assert EngineContext(h, p).fingerprint_expansive({0, 1})
         p6 = type(p)(**{**p.__dict__, "delta_p": math.log(4, n), "eps_tilde": 0.0})
-        assert not satisfies_expansive(h, {0, 1}, p6)  # 7 < 8
+        assert not EngineContext(h, p6).fingerprint_expansive({0, 1})  # 7 < 8
 
 
 def test_expansive_implies_expanding_above_pi_tilde():
@@ -243,7 +241,8 @@ def test_expansive_implies_expanding_above_pi_tilde():
         p = derive_params(h.k, rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0), h.n)
         verts = sorted(h.covered_vertices())
         f = frozenset(rng.sample(verts, min(len(verts), rng.randint(1, 3))))
-        if satisfies_expansive(h, f, p) and math.log(len(f), h.n) >= p.pi_tilde:
-            assert is_expanding(h, f, p)
+        ctx = EngineContext(h, p)
+        if ctx.fingerprint_expansive(f) and math.log(len(f), h.n) >= p.pi_tilde:
+            assert ctx.fingerprint_expanding(f)
             checked += 1
     assert checked > 0

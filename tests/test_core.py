@@ -10,8 +10,6 @@ from hypercontainers.core import (
     HypergraphError,
     NEG_INF,
     cmp_log,
-    degree,
-    fiber,
     is_bounded,
     is_homogeneous,
     ldeg,
@@ -20,11 +18,11 @@ from hypercontainers.core import (
     nabla,
     new_hypergraph,
     pow_floor,
-    section,
     vertex_fiber,
 )
 
 from conftest import hypergraphs
+from reference import degree, fiber, section
 
 
 class TestConstruction:

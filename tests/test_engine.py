@@ -11,7 +11,6 @@ from hypercontainers.core import (
     is_bounded,
     is_homogeneous,
     new_hypergraph,
-    section,
     nabla,
     vertex_fiber,
 )
@@ -29,6 +28,7 @@ from hypercontainers.instances import gen_random
 from hypercontainers.verify import enumerate_independent_sets, verify
 
 from conftest import random_hypergraph
+from reference import section
 
 
 class TestDeriveParams:
@@ -67,6 +67,16 @@ class TestDeriveParams:
             lhs = p.pi_tilde + (k - 1) * p.delta_p - p.eps_tilde
             rhs = 1 + (k - 2) * p.delta_p - p.eps_p
             assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("k,first", [(2, 13), (3, 55), (4, 217)])
+    def test_vacuity_frontier(self, k, first):
+        # at the least eps the hypotheses allow (2k log_n 2), condition (iv)
+        # bites (sigma < 1) only once log2 n > 2k 3^(k-1): below n = 2^54
+        # it says no more than C != X at k >= 3
+        def bites(log2n):
+            p = derive_params(k, 0.75, 2 * k / log2n, 2 ** log2n)
+            return p.hyp_eps_ok and p.sigma < 1
+        assert min(log2n for log2n in range(2, 300) if bites(log2n)) == first
 
 
 @given(k=st.integers(2, 6), n=st.integers(2, 1 << 30), pi=st.floats(0.0, 1.0),
