@@ -1,7 +1,8 @@
 """Instance generation and bit-exact edge-list file I/O.
 
 File format: optional '#' comment lines, then a header line "k n m",
-then m lines of k strictly ascending space-separated vertex indices.
+then m lines of k strictly ascending space-separated vertex indices,
+each token the str() of its index.  Lines may come in any order.
 UTF-8, LF line endings; serialization is byte-stable, so identical
 hypergraphs always produce identical files.
 """
@@ -9,21 +10,69 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from math import comb
+from operator import eq, lt
+from typing import Iterator
 
 from .bounded import greedy_bounded_sub
-from .core import Hypergraph, HypergraphError, new_hypergraph
+from .core import Edge, Hypergraph, HypergraphError
 
 
 class FormatError(ValueError):
     pass
 
 
+# In text whose tokens int() accepts, these mark a token that is not the
+# str() of its value: '+', '_', whitespace, a non-ASCII digit, a leading 0.
+_NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
+
+
+def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
+    """Endless sorted k-subsets of range(n), identical draw for draw to
+    tuple(sorted(rng.sample(range(n), k))): the same rng.getrandbits calls
+    in the same order, by sample's two branches and its switch between
+    them."""
+    getrandbits = rng.getrandbits
+    setsize = 21  # sample's switch: a pool up to this n, a set above
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        # step i draws an index below n - i into a shrinking pool
+        steps = [(n - i, (n - i).bit_length()) for i in range(k)]
+        while True:
+            pool = list(range(n))
+            picked = []
+            for size, bits in steps:
+                j = getrandbits(bits)
+                while j >= size:
+                    j = getrandbits(bits)
+                picked.append(pool[j])
+                pool[j] = pool[size - 1]
+            picked.sort()
+            yield tuple(picked)
+    else:
+        bits = n.bit_length()
+        while True:
+            # redraw while the value is out of range or already taken
+            taken: set[int] = set()
+            while len(taken) < k:
+                r = getrandbits(bits)
+                if r < n:
+                    taken.add(r)
+            yield tuple(sorted(taken))
+
+
 def gen_random(n: int, k: int, delta_target: float, eps_target: float,
                seed: int) -> Hypergraph:
-    """Random near-homogeneous instance: sample distinct k-sets uniformly
-    until ceil(n^(1+(k-1)delta)) candidates, then trim greedily to a
+    """Random near-homogeneous instance: draw uniform k-sets until
+    ceil(n^(1+(k-1)delta)) distinct candidates, then trim greedily to a
     delta_target-bounded subhypergraph.  Deterministic per seed.
+
+    Candidates are drawn by _ksets, which makes random.sample's
+    getrandbits calls on random.Random(seed) without its per-call
+    overhead, so they are exactly those of
+    tuple(sorted(rng.sample(range(n), k))) drawn in a loop.
     eps_target is not read: the output does not depend on it.
     """
     if n < 2 or k < 1:
@@ -33,10 +82,11 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     if target > total:
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
-    rng = random.Random(seed)
-    edges: set[tuple[int, ...]] = set()
-    while len(edges) < target:
-        edges.add(tuple(sorted(rng.sample(range(n), k))))
+    edges: set[Edge] = set()
+    for e in _ksets(random.Random(seed), n, k):
+        edges.add(e)
+        if len(edges) == target:
+            break
     h = Hypergraph(n, k, tuple(sorted(edges)))
     return greedy_bounded_sub(h, delta_target)
 
@@ -60,10 +110,12 @@ def write_edge_list(h: Hypergraph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{h.k} {h.n} {len(h.edges)}\n")
         for e in h.edges:
-            fh.write(" ".join(str(v) for v in e) + "\n")
+            fh.write(" ".join(map(str, e)) + "\n")
 
 
 def read_edge_list(path) -> Hypergraph:
+    """Read and validate an edge-list file: FormatError for a malformed
+    or non-canonical line, HypergraphError for an invalid hypergraph."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     idx = 0
@@ -72,28 +124,45 @@ def read_edge_list(path) -> Hypergraph:
     if idx == len(lines):
         raise FormatError("missing header line")
     parts = lines[idx].split(" ")
-    if len(parts) != 3:
+    if len(parts) != 3 or _NONCANONICAL.search(lines[idx]):
         raise FormatError(f"malformed header: {lines[idx]!r}")
     try:
         k, n, m = (int(p) for p in parts)
     except ValueError as exc:
         raise FormatError(f"malformed header: {lines[idx]!r}") from exc
+    if n < 2:
+        raise HypergraphError(f"need n >= 2, got {n}")
+    if k < 1:
+        raise HypergraphError(f"need k >= 1, got {k}")
     body = [ln for ln in lines[idx + 1:] if ln.strip()]
     if len(body) != m:
         raise FormatError(f"header promises {m} edges, found {len(body)} lines")
     edges = []
-    seen = set()
     for ln in body:
         try:
-            vs = tuple(int(tok) for tok in ln.split(" "))
+            e = tuple(map(int, ln.split(" ")))
         except ValueError as exc:
             raise FormatError(f"malformed edge line: {ln!r}") from exc
-        if len(vs) != k:
-            raise FormatError(f"edge line has {len(vs)} vertices, expected {k}: {ln!r}")
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
+        if len(e) != k:
+            raise FormatError(f"edge line has {len(e)} vertices, expected {k}: {ln!r}")
+        if not all(map(lt, e, e[1:])):
             raise FormatError(f"unsorted or repeated vertices in edge line: {ln!r}")
-        if vs in seen:
-            raise FormatError(f"duplicate edge: {ln!r}")
-        seen.add(vs)
-        edges.append(vs)
-    return new_hypergraph(n, k, edges)
+        if e[0] < 0 or e[-1] >= n:
+            raise HypergraphError(f"edge {e} has a vertex outside [0, {n})")
+        edges.append(e)
+    # int() took every token, so one that is not str() of its value shows
+    # as a character other than a digit, a space or a sign, or a leading 0
+    text = "\n".join(body)
+    bad = _NONCANONICAL.search(text)
+    if bad:
+        ln = body[text.count("\n", 0, bad.start())]
+        raise FormatError(f"non-canonical vertex token in edge line: {ln!r}")
+    edges.sort()
+    if any(map(eq, edges, edges[1:])):
+        # canonical lines are equal iff their edges are; report the first
+        seen = set()
+        for ln in body:
+            if ln in seen:
+                raise FormatError(f"duplicate edge: {ln!r}")
+            seen.add(ln)
+    return Hypergraph(n, k, tuple(edges))

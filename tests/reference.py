@@ -2,11 +2,13 @@
 directly and independently of the construction's fast paths.
 
 Each is exhaustive or a plain scan, so use them on small instances only.
+sample_ksets is gen_random's candidate draw as random.sample makes it.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hypercontainers.bounded import _level_caps
 from hypercontainers.core import Edge, Hypergraph, HypergraphError
@@ -69,6 +71,13 @@ def section(h: Hypergraph, us: Iterable[Iterable[int]],
                 out.add(e)
                 break
     return frozenset(out)
+
+
+def sample_ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
+    """gen_random's candidate draw written with random.sample: endless
+    sorted k-subsets of range(n)."""
+    while True:
+        yield tuple(sorted(rng.sample(range(n), k)))
 
 
 def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:

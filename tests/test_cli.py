@@ -71,6 +71,13 @@ class TestVerify:
         for cond in ("cond_i", "cond_ii", "cond_iii", "cond_iv"):
             assert f"{cond} = true" in out
 
+    def test_out_of_range_vertex_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.hg"
+        path.write_text("2 4 1\n0 5\n")
+        assert run("verify", "--input", str(path), "--pi", "0.7", "--eps", "0.7") == 2
+        assert capsys.readouterr().err == (
+            "error: edge (0, 5) has a vertex outside [0, 4)\n")
+
     def test_k2_permissive_enumeration(self, tmp_path, capsys):
         inst = self._gen(tmp_path, "--random", "--n", "12", "--k", "2",
                          "--delta", "0.3", "--eps", "0.6", "--seed", "1")

@@ -1,15 +1,25 @@
+import hashlib
 import random
+from itertools import islice
 
 import pytest
 
-from hypercontainers.core import HypergraphError, is_bounded, is_homogeneous, ldeg
+from hypercontainers.core import (
+    HypergraphError,
+    is_bounded,
+    is_homogeneous,
+    ldeg,
+    new_hypergraph,
+)
 from hypercontainers.instances import (
     FormatError,
+    _ksets,
     gen_ap,
     gen_random,
     read_edge_list,
     write_edge_list,
 )
+from reference import sample_ksets
 
 
 def brute_ap_count(n, k):
@@ -76,6 +86,33 @@ class TestGenRandom:
         with pytest.raises(HypergraphError):
             gen_random(4, 2, 1.0, 0.5, seed=0)  # 4^2 = 16 > C(4,2) = 6
 
+    # random.sample keeps a pool for n <= 21 (k <= 5) and n <= 85 (k = 6..8)
+    # and a set of taken values above; these n straddle both switches
+    @pytest.mark.parametrize("n", [*range(2, 31), 84, 85, 86, 87, 200])
+    def test_ksets_draw_as_sample(self, n):
+        for k in range(1, min(n, 8) + 1):
+            for seed in range(3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = list(islice(_ksets(ours, n, k), 50))
+                want = list(islice(sample_ksets(theirs, n, k), 50))
+                assert got == want, (n, k, seed)
+                assert ours.getstate() == theirs.getstate(), (n, k, seed)
+
+    @pytest.mark.parametrize("args, edges, sha256", [
+        ((16384, 2, 0.25, 0.3, 1000), 82571,
+         "f03ffa71949ecfcfaf172d5c9c22ed842c019d42203b795849a43edffc30b1fe"),
+        ((200, 3, 0.4, 0.3, 1000), 4354,
+         "38f31d3f0f7444184fa394885adcc4f38394d4fbe742c64ab2ed365dc45ec024"),
+        ((12, 4, 0.3, 0.6, 2), 23,  # random.sample's pool branch
+         "074b00dd64e1b123718c31d282d17949b0c099e21097369467a1cf7677ebef07"),
+    ])
+    def test_instance_bytes_pinned(self, tmp_path, args, edges, sha256):
+        h = gen_random(*args)
+        path = tmp_path / "h.hg"
+        write_edge_list(h, path)
+        assert len(h.edges) == edges
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
@@ -125,3 +162,43 @@ class TestFileFormat:
         path.write_text("3 4 1\n0 1\n")
         with pytest.raises(FormatError):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("line", ["0 +1", "0 01", "0 \u0661", "0 1_0", "0 1\t",
+                                      "-0 1"])
+    def test_noncanonical_vertex_token(self, tmp_path, line):
+        path = tmp_path / "bad.hg"
+        path.write_text(f"2 12 2\n0 2\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="non-canonical") as info:
+            read_edge_list(path)
+        assert repr(line) in str(info.value)
+
+    @pytest.mark.parametrize("header", ["+2 4 1", "2 04 1", "2 4 1\t"])
+    def test_noncanonical_header(self, tmp_path, header):
+        path = tmp_path / "bad.hg"
+        path.write_text(f"{header}\n0 1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="header"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 4 1\n0 5\n", "edge (0, 5) has a vertex outside [0, 4)"),
+        ("2 4 1\n-1 2\n", "edge (-1, 2) has a vertex outside [0, 4)"),
+        ("2 1 0\n", "need n >= 2, got 1"),
+        ("0 4 0\n", "need k >= 1, got 0"),
+    ])
+    def test_invalid_hypergraph(self, tmp_path, text, message):
+        path = tmp_path / "bad.hg"
+        path.write_text(text)
+        with pytest.raises(HypergraphError) as got:
+            read_edge_list(path)
+        header, *lines = text.splitlines()
+        k, n, _m = map(int, header.split())
+        with pytest.raises(HypergraphError) as want:
+            new_hypergraph(n, k, [tuple(map(int, ln.split())) for ln in lines])
+        assert str(got.value) == str(want.value) == message
+
+    def test_line_order_is_free(self, tmp_path):
+        lines = ["2 4", "0 3", "1 3", "0 1"]
+        path = tmp_path / "shuffled.hg"
+        path.write_text("2 5 4\n" + "\n".join(lines) + "\n")
+        edges = [tuple(map(int, ln.split())) for ln in lines]
+        assert read_edge_list(path) == new_hypergraph(5, 2, edges)
