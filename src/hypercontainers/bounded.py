@@ -143,8 +143,6 @@ def max_bounded_sub(hp: Hypergraph, delta: float,
 def greedy_bounded_sub(hp: Hypergraph, delta: float) -> Hypergraph:
     """Greedy lower bound: scan edges in canonical order, keep an edge iff
     no codegree cap is violated.  Fast fallback for large fibers."""
-    if hp.k == 1:
-        return hp
     caps = _level_caps(hp, delta)
     counts: dict[Edge, int] = {}
     kept = [e for e in hp.edges if _admit(counts, _subsets(e, caps))]

@@ -113,12 +113,17 @@ class Hypergraph:
         return frozenset(v for e in self.edges for v in e)
 
 
-def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Validate and canonicalize: sorted edges, deduplicated, vertices in range."""
+def check_shape(n: int, k: int) -> None:
+    """Raise HypergraphError unless n >= 2 and k >= 1."""
     if n < 2:
         raise HypergraphError(f"need n >= 2, got {n}")
     if k < 1:
         raise HypergraphError(f"need k >= 1, got {k}")
+
+
+def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
+    """Validate and canonicalize: sorted edges, deduplicated, vertices in range."""
+    check_shape(n, k)
     canon: set[Edge] = set()
     for raw in edges:
         e = tuple(sorted(set(raw)))
@@ -165,8 +170,6 @@ def ldeg(h: Hypergraph) -> float:
     0 for k = 1 (the max ranges over an empty set) and for the empty
     hypergraph; clamped into [0, 1].
     """
-    if h.k == 1 or not h.edges:
-        return 0.0
     best = 0.0
     for ell in range(1, h.k):
         d = max_degree(h, ell)
@@ -176,9 +179,8 @@ def ldeg(h: Hypergraph) -> float:
 
 
 def is_bounded(h: Hypergraph, delta: float) -> bool:
-    """delta-bounded: Delta_ell(h) <= n^((k-ell) delta) for all levels."""
-    if h.k == 1:
-        return True
+    """delta-bounded: Delta_ell(h) <= n^((k-ell) delta) for all levels
+    (true for k = 1, where there are none)."""
     return all(
         cmp_log(max_degree(h, ell), (h.k - ell) * delta, h.n) <= 0
         for ell in range(1, h.k)

@@ -29,7 +29,15 @@ from .bounded import (
     max_bounded_size,
     max_bounded_sub,
 )
-from .core import LOG_TOL, Hypergraph, cmp_log, log_size, nabla, vertex_fiber
+from .core import (
+    LOG_TOL,
+    Hypergraph,
+    check_shape,
+    cmp_log,
+    log_size,
+    nabla,
+    vertex_fiber,
+)
 
 Fingerprint = frozenset[int]
 Print = tuple[Fingerprint, ...]
@@ -79,10 +87,7 @@ class Params:
 
 
 def derive_params(k: int, pi: float, eps: float, n: int) -> Params:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    check_shape(n, k)
     log2 = math.log(2) / math.log(n)
     delta = 1.0 - pi
     delta_p = delta + log2

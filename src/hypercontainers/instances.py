@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import random
 import re
+from itertools import compress
 from math import comb
 from operator import eq, lt
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
-from .core import Edge, Hypergraph, HypergraphError
+from .core import Edge, Hypergraph, HypergraphError, check_shape
 
 
 class FormatError(ValueError):
@@ -30,28 +31,18 @@ _NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 
 def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
     """Endless sorted k-subsets of range(n), identical draw for draw to
-    tuple(sorted(rng.sample(range(n), k))): the same rng.getrandbits calls
-    in the same order, by sample's two branches and its switch between
-    them."""
-    getrandbits = rng.getrandbits
+    tuple(sorted(rng.sample(range(n), k))).  Up to sample's pool/set
+    switch (tiny n) they are drawn by sample itself; above it, sample's
+    set branch is replayed with the same rng.getrandbits calls in the same
+    order, without sample's per-call overhead."""
     setsize = 21  # sample's switch: a pool up to this n, a set above
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n <= setsize:
-        # step i draws an index below n - i into a shrinking pool
-        steps = [(n - i, (n - i).bit_length()) for i in range(k)]
         while True:
-            pool = list(range(n))
-            picked = []
-            for size, bits in steps:
-                j = getrandbits(bits)
-                while j >= size:
-                    j = getrandbits(bits)
-                picked.append(pool[j])
-                pool[j] = pool[size - 1]
-            picked.sort()
-            yield tuple(picked)
+            yield tuple(sorted(rng.sample(range(n), k)))
     else:
+        getrandbits = rng.getrandbits
         bits = n.bit_length()
         while True:
             # redraw while the value is out of range or already taken
@@ -69,14 +60,12 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     ceil(n^(1+(k-1)delta)) distinct candidates, then trim greedily to a
     delta_target-bounded subhypergraph.  Deterministic per seed.
 
-    Candidates are drawn by _ksets, which makes random.sample's
-    getrandbits calls on random.Random(seed) without its per-call
-    overhead, so they are exactly those of
-    tuple(sorted(rng.sample(range(n), k))) drawn in a loop.
-    eps_target is not read: the output does not depend on it.
+    Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
+    in a loop on random.Random(seed): _ksets draws tiny instances by
+    sample itself and replays sample's getrandbits calls above its pool
+    switch.  eps_target is not read: the output does not depend on it.
     """
-    if n < 2 or k < 1:
-        raise HypergraphError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    check_shape(n, k)
     target = math.ceil(n ** (1 + (k - 1) * delta_target))
     total = comb(n, k)
     if target > total:
@@ -116,8 +105,10 @@ def write_edge_list(h: Hypergraph, path) -> None:
 def read_edge_list(path) -> Hypergraph:
     """Read and validate an edge-list file: FormatError for a malformed
     or non-canonical line, HypergraphError for an invalid hypergraph."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    # newline="" and split("\n"): LF is the only line separator, so a CR
+    # or a Unicode separator stays inside its line and fails the checks
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
     idx = 0
     while idx < len(lines) and lines[idx].startswith("#"):
         idx += 1
@@ -130,11 +121,8 @@ def read_edge_list(path) -> Hypergraph:
         k, n, m = (int(p) for p in parts)
     except ValueError as exc:
         raise FormatError(f"malformed header: {lines[idx]!r}") from exc
-    if n < 2:
-        raise HypergraphError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise HypergraphError(f"need k >= 1, got {k}")
-    body = [ln for ln in lines[idx + 1:] if ln.strip()]
+    check_shape(n, k)
+    body = [ln for ln in lines[idx + 1:] if ln]
     if len(body) != m:
         raise FormatError(f"header promises {m} edges, found {len(body)} lines")
     edges = []
@@ -158,11 +146,8 @@ def read_edge_list(path) -> Hypergraph:
         ln = body[text.count("\n", 0, bad.start())]
         raise FormatError(f"non-canonical vertex token in edge line: {ln!r}")
     edges.sort()
-    if any(map(eq, edges, edges[1:])):
-        # canonical lines are equal iff their edges are; report the first
-        seen = set()
-        for ln in body:
-            if ln in seen:
-                raise FormatError(f"duplicate edge: {ln!r}")
-            seen.add(ln)
+    # every line is canonical, so the least repeated edge prints as its line
+    dup = next(compress(edges, map(eq, edges, edges[1:])), None)
+    if dup is not None:
+        raise FormatError(f"duplicate edge: {' '.join(map(str, dup))!r}")
     return Hypergraph(n, k, tuple(edges))

@@ -160,6 +160,10 @@ class TestGreedy:
         h = new_hypergraph(6, 2, [(0, 1), (2, 3), (4, 5)])
         assert greedy_bounded_sub(h, 0.0).edges == h.edges
 
+    def test_one_uniform_is_itself(self):
+        h = new_hypergraph(5, 1, [(0,), (2,), (4,)])
+        assert greedy_bounded_sub(h, 0.0) == h
+
     def test_triangle_delta_zero(self):
         h = new_hypergraph(4, 2, [(0, 1), (0, 2), (1, 2)])
         assert greedy_bounded_sub(h, 0.0).edges == ((0, 1),)

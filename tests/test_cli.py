@@ -29,6 +29,11 @@ class TestGen:
         assert run("gen", "--ap", "--n", "10", "--k", "2", "-o", str(out)) == 2
         assert "k must be >= 3" in capsys.readouterr().err
 
+    def test_random_n_too_small(self, tmp_path, capsys):
+        out = tmp_path / "x.hg"
+        assert run("gen", "--random", "--n", "1", "--k", "2", "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: need n >= 2, got 1\n"
+
 
 class TestParams:
     def test_output_lines(self, capsys):

@@ -20,6 +20,8 @@ from hypercontainers.core import (
     pow_floor,
     vertex_fiber,
 )
+from hypercontainers.engine import derive_params
+from hypercontainers.instances import gen_random, read_edge_list
 
 from conftest import hypergraphs
 from reference import degree, fiber, section
@@ -47,6 +49,23 @@ class TestConstruction:
     def test_n_too_small(self):
         with pytest.raises(HypergraphError):
             new_hypergraph(1, 1, [])
+
+    @pytest.mark.parametrize("n, k, message", [(1, 2, "need n >= 2, got 1"),
+                                               (4, 0, "need k >= 1, got 0")])
+    @pytest.mark.parametrize("caller", ["new_hypergraph", "read_edge_list",
+                                        "gen_random", "derive_params"])
+    def test_one_shape_rule(self, tmp_path, caller, n, k, message):
+        path = tmp_path / "h.hg"
+        path.write_text(f"{k} {n} 0\n")
+        calls = {
+            "new_hypergraph": lambda: new_hypergraph(n, k, []),
+            "read_edge_list": lambda: read_edge_list(path),
+            "gen_random": lambda: gen_random(n, k, 0.3, 0.6, 0),
+            "derive_params": lambda: derive_params(k, 0.5, 0.5, n),
+        }
+        with pytest.raises(HypergraphError) as info:
+            calls[caller]()
+        assert str(info.value) == message
 
 
 class TestLogScale:
@@ -160,6 +179,9 @@ class TestLdeg:
     def test_k1_convention(self):
         assert ldeg(new_hypergraph(4, 1, [(0,), (1,)])) == 0.0
 
+    def test_edgeless_3_uniform(self):
+        assert ldeg(new_hypergraph(5, 3, [])) == 0.0
+
 
 class TestBoundedHomogeneous:
     def test_star_not_half_bounded(self):
@@ -174,6 +196,9 @@ class TestBoundedHomogeneous:
 
     def test_k1_always_bounded(self):
         assert is_bounded(new_hypergraph(4, 1, [(0,), (1,), (2,)]), 0.0)
+
+    def test_edgeless_3_uniform_bounded(self):
+        assert is_bounded(new_hypergraph(5, 3, []), 0.0)
 
     def test_matching_homogeneous(self):
         h = new_hypergraph(4, 2, [(0, 1), (2, 3)])

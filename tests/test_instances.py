@@ -3,6 +3,7 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
 
 from hypercontainers.core import (
     HypergraphError,
@@ -19,6 +20,7 @@ from hypercontainers.instances import (
     read_edge_list,
     write_edge_list,
 )
+from conftest import hypergraphs
 from reference import sample_ksets
 
 
@@ -157,6 +159,31 @@ class TestFileFormat:
         with pytest.raises(FormatError, match="duplicate"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("body", ["0 1\n0 1\n1 2\n", "1 2\n1 2\n0 1\n0 1\n"])
+    def test_least_duplicate_named(self, tmp_path, body):
+        path = tmp_path / "bad.hg"
+        m = body.count("\n")
+        path.write_text(f"2 4 {m}\n{body}")
+        with pytest.raises(FormatError) as info:
+            read_edge_list(path)
+        assert str(info.value) == "duplicate edge: '0 1'"
+
+    # LF alone ends a line and only an empty line is skipped, so each of
+    # these is one malformed line or a count mismatch, not ((0, 1), (1, 2))
+    @pytest.mark.parametrize("text", [
+        "2 4 2\r0 1\r1 2\r",
+        "2 4 2\r\n0 1\r\n1 2\r\n",
+        "2 4 2\n0 1\u20281 2\n",
+        "2 4 2\n0 1\x0c1 2\n",
+        "2 4 2\n0 1\x0b1 2\n",
+        "2 4 2\n0 1\n \n1 2\n",
+    ], ids=["cr", "crlf", "u2028", "formfeed", "vtab", "whitespace-line"])
+    def test_only_lf_separates_lines(self, tmp_path, text):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(FormatError):
+            read_edge_list(path)
+
     def test_arity_mismatch(self, tmp_path):
         path = tmp_path / "bad.hg"
         path.write_text("3 4 1\n0 1\n")
@@ -195,6 +222,13 @@ class TestFileFormat:
         with pytest.raises(HypergraphError) as want:
             new_hypergraph(n, k, [tuple(map(int, ln.split())) for ln in lines])
         assert str(got.value) == str(want.value) == message
+
+    @given(hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_every_written_file_reads_back(self, tmp_path_factory, h):
+        path = tmp_path_factory.mktemp("rt") / "h.hg"
+        write_edge_list(h, path)
+        assert read_edge_list(path) == h
 
     def test_line_order_is_free(self, tmp_path):
         lines = ["2 4", "0 3", "1 3", "0 1"]
