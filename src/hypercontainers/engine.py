@@ -136,7 +136,7 @@ class EngineContext:
         self._fell_back = False
         self._fiber_size: dict[Fingerprint, int] = {}
         self._gf: dict[Fingerprint, tuple[Hypergraph, "EngineContext"]] = {}
-        self._containers: dict[tuple, frozenset[int]] = {}
+        self._containers: dict[Print, frozenset[int]] = {}
 
     # -- oracle plumbing ---------------------------------------------------
 
@@ -257,8 +257,8 @@ class EngineContext:
     def container_of(self, prnt: Print) -> frozenset[int]:
         """The container of a print.  Partial: defined on the image of
         print_of (length 0 only at k = 1, length >= 1 at k >= 2)."""
-        key = tuple(tuple(sorted(f)) for f in prnt)
-        hit = self._containers.get(key)
+        prnt = tuple(map(frozenset, prnt))
+        hit = self._containers.get(prnt)
         if hit is not None:
             return hit
         h, p = self.h, self.params
@@ -269,7 +269,7 @@ class EngineContext:
         else:
             if len(prnt) == 0:
                 raise PrintDomainError("empty print is outside the domain at k >= 2")
-            f0 = frozenset(prnt[0])
+            f0 = prnt[0]
             if self.fingerprint_expanding(f0):
                 _gf, child = self.child_for(f0)
                 c = child.container_of(prnt[1:])
@@ -282,7 +282,7 @@ class EngineContext:
                 c = frozenset(
                     x for x in h.vertices
                     if cmp_log(len(hminus.incidence.get(x, ())), tau, h.n) < 0)
-        self._containers[key] = c
+        self._containers[prnt] = c
         return c
 
 

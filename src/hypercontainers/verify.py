@@ -9,7 +9,6 @@ runs with identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
@@ -155,51 +154,48 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     union(P) <= I <= union(P) | C, zero tolerance; (iv) every distinct
     container C has log_n|X \\ C| >= 1 - sigma.  A set whose print_of or
     container_of raises EngineError fails (i) or (ii) respectively.
+
+    The sets are consumed once, in order, and only the distinct prints
+    and their containers are kept.  A set with a vertex outside X raises
+    ValueError, and one that contains an edge NotIndependentError, when
+    the loop reaches it.  jobs accepts only 1.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     h, p = ctx.h, ctx.params
     x = frozenset(h.vertices)
-    sets = list(sets)
+    samples = 0
+    cond_i = cond_ii = cond_iii = True
+    iii_counter = ""
+    print_containers: dict[Print, frozenset[int]] = {}
     for iset in sets:
+        if iset and (min(iset) < 0 or max(iset) >= h.n):
+            raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
+                             f"outside [0, {h.n})")
         for e in h.edges:
             if iset.issuperset(e):
                 raise NotIndependentError(
                     f"supplied set {_set_str(iset)} contains edge {e}")
-
-    def process(iset):
+        samples += 1
         try:
             prnt = ctx.print_of(iset)
         except EngineError:
-            return iset, None, None
-        try:
-            return iset, prnt, ctx.container_of(prnt)
-        except EngineError:
-            return iset, prnt, None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(process, sets))
-    else:
-        results = [process(s) for s in sets]
-
-    cond_i = all(prnt is not None for _i, prnt, _c in results)
-    cond_ii = all(cont is not None for _i, prnt, cont in results if prnt is not None)
-    cond_iii = True
-    iii_counter = ""
-    print_containers: dict[tuple, tuple[Print, frozenset[int]]] = {}
-    for iset, prnt, cont in results:
-        if cont is None:
+            cond_i = False
             continue
-        key = tuple(tuple(sorted(f)) for f in prnt)
-        print_containers.setdefault(key, (prnt, cont))
+        try:
+            cont = ctx.container_of(prnt)
+        except EngineError:
+            cond_ii = False
+            continue
+        print_containers.setdefault(prnt, cont)
         up = print_union(prnt)
-        if not up <= iset <= (up | cont) and cond_iii:
+        if cond_iii and not up <= iset <= (up | cont):
             cond_iii = False
             iii_counter = (f"I={_set_str(iset)} P="
                            + "|".join(_set_str(f) for f in prnt)
                            + f" C={_set_str(cont)}")
 
-    containers = sorted({cont for _p, cont in print_containers.values()},
-                        key=sorted)
+    containers = sorted(set(print_containers.values()), key=sorted)
     comp_logs = [log_size(len(x - c), h.n) for c in containers]
     cond_iv = True
     iv_counter = ""
@@ -215,7 +211,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     diag_quarter = "na"
     if h.k >= 2:
         quarter_ok = True
-        for prnt, cont in print_containers.values():
+        for prnt, cont in print_containers.items():
             if len(prnt) == 1 and not ctx.fingerprint_expanding(prnt[0]):
                 diag_n += 1
                 comp = len(x - cont)
@@ -237,7 +233,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         mode=ctx.mode,
         oracle_mode="heuristic" if ctx.heuristic_used else "exact",
         method="enumeration" if enumerated else "sampling",
-        samples=len(sets),
+        samples=samples,
         cond_i=cond_i,
         cond_ii=cond_ii,
         cond_iii=cond_iii,
@@ -270,6 +266,6 @@ def counting_bound(report: VerificationReport) -> tuple[int, int]:
         raise RuntimeError("counting bound requires a fully enumerated run")
     lhs = report.samples
     rhs = 0
-    for prnt, cont in report.print_containers.values():
+    for prnt, cont in report.print_containers.items():
         rhs += 2 ** len(print_union(prnt) | cont)
     return lhs, rhs

@@ -65,8 +65,7 @@ def test_criterion_01_base_case_exactness():
         rep = verify(ctx, sets)
         assert rep.all_conditions_pass()
         assert rep.containers_distinct == 1
-        (_prnt, cont), = rep.print_containers.values()
-        assert cont == frozenset(range(n)) - set(covered)
+        assert rep.print_containers == {(): frozenset(range(n)) - set(covered)}
     assert time.monotonic() - start < 1.0
 
 

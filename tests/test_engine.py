@@ -361,6 +361,21 @@ class TestContainerOf:
             key = tuple(tuple(sorted(f)) for f in prnt)
             assert seen.setdefault(key, c) == c
 
+    def test_print_given_as_lists_or_sets(self):
+        # prints of length 1 and 2: the tail reaches the child as given
+        h = gen_random(12, 3, 0.3, 0.6, seed=1)
+        ctx = _ctx(h, 0.7, 0.6)
+        lengths = set()
+        for iset in list(enumerate_independent_sets(h))[::7]:
+            prnt = ctx.print_of(iset)
+            lengths.add(len(prnt))
+            c = ctx.container_of(prnt)
+            as_lists = [sorted(f) for f in prnt]
+            assert ctx.container_of(as_lists) == c
+            assert _ctx(h, 0.7, 0.6).container_of(as_lists) == c
+            assert _ctx(h, 0.7, 0.6).container_of([set(f) for f in prnt]) == c
+        assert lengths == {1, 2}
+
 
 class TestModes:
     def test_strict_refuses_bad_hypotheses(self):

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import tracemalloc
 
 import pytest
 
@@ -154,14 +156,54 @@ class TestVerify:
         assert rep.diag_min_complement == 4
         assert rep.diag_quarter_ok == "true"
 
-    def test_jobs_do_not_change_report(self):
+    def test_jobs_accepts_only_one(self):
         h = gen_random(11, 2, 0.3, 0.6, seed=6)
-        ctx1 = EngineContext(h, derive_params(2, 0.7, 0.6, 11))
-        ctx4 = EngineContext(h, derive_params(2, 0.7, 0.6, 11))
+        ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 11))
         sets = list(enumerate_independent_sets(h))
-        r1 = verify(ctx1, sets, enumerated=True, jobs=1)
-        r4 = verify(ctx4, sets, enumerated=True, jobs=4)
-        assert r1.to_text() == r4.to_text()
+        with pytest.raises(ValueError, match="jobs must be 1, got 4"):
+            verify(ctx, sets, enumerated=True, jobs=4)
+        r1 = verify(ctx, sets, enumerated=True, jobs=1)
+        assert r1.to_text() == verify(ctx, sets, enumerated=True).to_text()
+
+    @pytest.mark.parametrize("bad, text", [
+        (frozenset({5, 12}), "supplied set {5,12} has a vertex outside [0, 10)"),
+        (frozenset({-1, 3}), "supplied set {-1,3} has a vertex outside [0, 10)"),
+    ], ids=["above_n", "negative"])
+    def test_rejects_vertex_outside_x(self, bad, text):
+        h = new_hypergraph(10, 2, [(0, 1), (2, 3)])
+        ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 10))
+        with pytest.raises(ValueError, match=re.escape(text)):
+            verify(ctx, [frozenset({4}), bad])
+
+    def test_sets_consumed_once_in_order(self):
+        h = new_hypergraph(6, 2, [(0, 1), (2, 3)])
+        ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 6))
+        pulled = []
+
+        def stream():
+            for s in [{4}, {0, 2}, {0, 1, 5}, {5}]:
+                pulled.append(s)
+                yield frozenset(s)
+
+        with pytest.raises(NotIndependentError,
+                           match=re.escape("supplied set {0,1,5} contains edge (0, 1)")):
+            verify(ctx, stream())
+        assert pulled == [{4}, {0, 2}, {0, 1, 5}]
+
+    def test_memory_bounded_by_distinct_prints(self):
+        # 9216 independent sets, 5 distinct prints: a run that kept the
+        # sets or their (set, print, container) triples would peak at
+        # several MB
+        h = new_hypergraph(14, 2, [(0, 1), (2, 3)])
+        ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 14))
+        tracemalloc.start()
+        try:
+            rep = verify(ctx, enumerate_independent_sets(h), enumerated=True)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rep.samples, len(rep.print_containers)) == (9216, 5)
+        assert peak < 1 << 20
 
 
 class _StubContext:
@@ -217,7 +259,9 @@ class _FailingContext(_StubContext):
 def test_engine_error_fails_condition(failing, cond):
     h = new_hypergraph(8, 2, [(0, 1), (2, 3)])
     ctx = _FailingContext(h, derive_params(2, 0.7, 0.1, 8), failing)
-    rep = verify(ctx, list(enumerate_independent_sets(h)), enumerated=True)
+    sets = list(enumerate_independent_sets(h))
+    rep = verify(ctx, sets, enumerated=True)
+    assert rep.samples == len(sets)
     assert not getattr(rep, cond)
     assert rep.cond_iii and [rep.cond_i, rep.cond_ii].count(False) == 1
 
