@@ -14,13 +14,14 @@ from collections import Counter
 
 from hypercontainers import (
     EngineContext,
+    HypergraphError,
     derive_params,
     enumerate_independent_sets,
     gen_random,
     sample_independent_sets,
     verify,
 )
-from hypercontainers.cli import _at_least
+from hypercontainers.cli import _at_least, _unit_interval
 
 CONDITIONS = ("cond_i", "cond_ii", "cond_iii", "cond_iv")
 
@@ -29,8 +30,8 @@ def run() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=12)
     parser.add_argument("--k", type=int, default=2)
-    parser.add_argument("--delta", type=float, default=0.3)
-    parser.add_argument("--eps", type=float, default=0.6)
+    parser.add_argument("--delta", type=_unit_interval("delta"), default=0.3)
+    parser.add_argument("--eps", type=_unit_interval("eps"), default=0.6)
     parser.add_argument("--trials", type=_at_least(1), default=20)
     parser.add_argument("--enum-cap", type=_at_least(0), default=20)
     parser.add_argument("--samples", type=_at_least(1), default=200)
@@ -38,7 +39,11 @@ def run() -> int:
 
     tally: Counter[str] = Counter()
     for seed in range(args.trials):
-        h = gen_random(args.n, args.k, args.delta, args.eps, seed=seed)
+        try:
+            h = gen_random(args.n, args.k, args.delta, args.eps, seed=seed)
+        except HypergraphError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ctx = EngineContext(h, derive_params(h.k, 1.0 - args.delta, args.eps, h.n))
         if h.n <= args.enum_cap:
             sets = enumerate_independent_sets(h, cap=args.enum_cap)

@@ -13,9 +13,10 @@ from ties.  The convention log 0 = -inf is used throughout.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable
 
 NEG_INF = float("-inf")
@@ -149,11 +150,7 @@ def vertex_fiber(h: Hypergraph, f: Iterable[int]) -> Hypergraph:
 def codegrees(edges: Iterable[Edge], ell: int) -> dict[Edge, int]:
     """ell-set -> number of the given edges containing it, for every
     ell-set of positive degree."""
-    counts: dict[Edge, int] = {}
-    for e in edges:
-        for u in combinations(e, ell):
-            counts[u] = counts.get(u, 0) + 1
-    return counts
+    return Counter(chain.from_iterable(map(combinations, edges, repeat(ell))))
 
 
 def max_degree(h: Hypergraph, ell: int) -> int:

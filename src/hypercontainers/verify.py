@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
 from .engine import EngineError, NotIndependentError, Params, Print, print_union
@@ -53,11 +54,25 @@ def enumerate_independent_sets(h: Hypergraph, cap: int = DEFAULT_ENUM_CAP):
 
 
 def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
-    """Greedy maximal independent set along a seed-determined permutation."""
+    """Greedy maximal independent set along a seed-determined permutation.
+
+    Along random.Random(seed)'s shuffle of X, v is taken unless some edge
+    through v has all its other vertices taken.  At k = 2 that means
+    unless a neighbour of v is taken, so each taken v blocks the vertices
+    of its edges instead.  Both routes return the same set with the same
+    iteration order: that of an add-only set filled in draw order.
+    """
     rng = random.Random(seed)
     order = list(h.vertices)
     rng.shuffle(order)
     taken: set[int] = set()
+    if h.k == 2:
+        blocked: set[int] = set()
+        for v in order:
+            if v not in blocked:
+                taken.add(v)
+                blocked.update(chain.from_iterable(h.incidence.get(v, ())))
+        return frozenset(taken)
     for v in order:
         taken.add(v)
         if any(map(taken.issuperset, h.incidence.get(v, ()))):

@@ -35,6 +35,16 @@ def fiber(h: Hypergraph, us: Iterable[Iterable[int]]) -> Hypergraph:
     return Hypergraph(h.n, h.k - ell, tuple(sorted(out)))
 
 
+def codegrees(edges: Iterable[Edge], ell: int) -> dict[Edge, int]:
+    """ell-set -> number of the given edges containing it, counted one
+    edge and one ell-subset at a time."""
+    counts: dict[Edge, int] = {}
+    for e in edges:
+        for u in combinations(e, ell):
+            counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
 def degree(h: Hypergraph, u: Iterable[int]) -> int:
     """Number of (k-ell)-sets completing the ell-set u to an edge."""
     u = tuple(sorted(set(u)))

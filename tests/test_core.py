@@ -2,7 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hypercontainers import core
 from hypercontainers.core import (
@@ -24,6 +24,7 @@ from hypercontainers.engine import derive_params
 from hypercontainers.instances import gen_random, read_edge_list
 
 from conftest import hypergraphs
+import reference
 from reference import degree, fiber, section
 
 
@@ -262,6 +263,16 @@ def test_section_covers_partition(h):
     left = section(h, c, km1)
     right = {e for e in h.edges if all(v % 2 == 1 for v in e)}
     assert left | right == h.edge_set
+
+
+@given(hypergraphs(k_max=4))
+@example(new_hypergraph(5, 3, []))
+@settings(max_examples=60, deadline=None)
+def test_codegrees_match_reference(h):
+    # same counts in the same key order, at every level including 0 and k
+    for ell in range(h.k + 1):
+        got = core.codegrees(h.edges, ell)
+        assert list(got.items()) == list(reference.codegrees(h.edges, ell).items())
 
 
 @given(hypergraphs(k_max=4))

@@ -46,3 +46,23 @@ def test_failed_condition_exit_1(sweep, monkeypatch, capsys):
     monkeypatch.setattr(sweep, "verify", fail_first_cond_iii)
     assert _run(sweep, monkeypatch, "--trials", "2") == 1
     assert "cond_iii = 1/2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [("--delta", "2"), ("--eps", "-1"),
+                                        ("--eps", "1.5")])
+def test_out_of_unit_interval_exit_2(sweep, monkeypatch, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        _run(sweep, monkeypatch, "--trials", "2", flag, value)
+    assert exc.value.code == 2
+    assert "must be in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--delta", "1", "exceeds binomial(12,2)"),
+    ("--n", "1", "need n >= 2, got 1"),
+])
+def test_impossible_instance_exit_2(sweep, monkeypatch, capsys, flag, value, message):
+    assert _run(sweep, monkeypatch, "--trials", "2", flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""

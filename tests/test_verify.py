@@ -110,6 +110,11 @@ class TestSampling:
                 assert list(got) == list(reference(h, seed))
                 rejected += len(got) < h.n
         assert rejected >= 60
+        if k == 2:
+            # criterion 8's instance: high degrees, thousands of vertices
+            h = gen_random(4096, 2, 0.25, 0.6, 3)
+            for seed in range(3):
+                assert list(sample_independent_set(h, seed)) == list(reference(h, seed))
 
     def test_negative_count_raises_at_the_call(self):
         h = gen_random(30, 2, 0.3, 0.6, seed=8)
