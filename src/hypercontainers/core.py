@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
+from operator import index
 from typing import Iterable
 
 NEG_INF = float("-inf")
@@ -123,13 +124,18 @@ def check_shape(n: int, k: int) -> None:
 
 
 def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Validate and canonicalize: sorted edges, deduplicated, vertices in range."""
+    """Validate and canonicalize: sorted edges, deduplicated, vertices
+    integers (anything operator.index takes) in range."""
     check_shape(n, k)
     canon: set[Edge] = set()
     for raw in edges:
-        e = tuple(sorted(set(raw)))
+        raw = tuple(raw)
+        try:
+            e = tuple(sorted(set(map(index, raw))))
+        except TypeError as exc:
+            raise HypergraphError(f"edge {raw} has a vertex that is not an integer") from exc
         if len(e) != k:
-            raise HypergraphError(f"edge {tuple(raw)} does not have {k} distinct vertices")
+            raise HypergraphError(f"edge {raw} does not have {k} distinct vertices")
         if e[0] < 0 or e[-1] >= n:
             raise HypergraphError(f"edge {e} has a vertex outside [0, {n})")
         canon.add(e)

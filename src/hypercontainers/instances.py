@@ -17,7 +17,7 @@ from operator import eq, lt
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
-from .core import Edge, Hypergraph, HypergraphError, check_shape
+from .core import Edge, Hypergraph, HypergraphError, check_shape, pow_floor
 
 
 class FormatError(ValueError):
@@ -54,6 +54,30 @@ def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
             yield tuple(sorted(taken))
 
 
+def _greedy_pairs(n: int, pairs: Iterator[Edge], target: int,
+                  cap: int) -> tuple[Edge, ...]:
+    """greedy_bounded_sub at k = 2 over the first target distinct pairs,
+    taken in sorted order: keep (a, b) iff both a and b are in fewer
+    than cap kept pairs.  A pair a < b is held as the int a * n + b,
+    which sorts as the tuple does; tuples are built for kept pairs only."""
+    codes: set[int] = set()
+    for a, b in pairs:
+        codes.add(a * n + b)
+        if len(codes) == target:
+            break
+    ordered = sorted(codes)
+    del codes
+    deg = [0] * n
+    kept = []
+    for c in ordered:
+        a, b = divmod(c, n)
+        if deg[a] < cap and deg[b] < cap:
+            deg[a] += 1
+            deg[b] += 1
+            kept.append((a, b))
+    return tuple(kept)
+
+
 def gen_random(n: int, k: int, delta_target: float, eps_target: float,
                seed: int) -> Hypergraph:
     """Random near-homogeneous instance: draw uniform k-sets until
@@ -64,6 +88,11 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     in a loop on random.Random(seed): _ksets draws tiny instances by
     sample itself and replays sample's getrandbits calls above its pool
     switch.  eps_target is not read: the output does not depend on it.
+
+    At k = 2 the same candidates are kept by the same rule as
+    greedy_bounded_sub's, in the same sorted order, but _greedy_pairs
+    holds each candidate as one int and counts degrees in a list, so no
+    tuple or dict key is made for a candidate that is not kept.
     """
     check_shape(n, k)
     target = math.ceil(n ** (1 + (k - 1) * delta_target))
@@ -71,8 +100,12 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     if target > total:
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
+    ksets = _ksets(random.Random(seed), n, k)
+    if k == 2:
+        kept = _greedy_pairs(n, ksets, target, pow_floor(n, delta_target))
+        return Hypergraph(n, k, kept)
     edges: set[Edge] = set()
-    for e in _ksets(random.Random(seed), n, k):
+    for e in ksets:
         edges.add(e)
         if len(edges) == target:
             break

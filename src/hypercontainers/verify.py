@@ -170,10 +170,11 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     container C has log_n|X \\ C| >= 1 - sigma.  A set whose print_of or
     container_of raises EngineError fails (i) or (ii) respectively.
 
-    The sets are consumed once, in order, and only the distinct prints
-    and their containers are kept.  A set with a vertex outside X raises
-    ValueError, and one that contains an edge NotIndependentError, when
-    the loop reaches it.  jobs accepts only 1.
+    The sets, each any iterable of vertices, are consumed once, in
+    order, and only the distinct prints and their containers are kept.
+    A set with a vertex outside X raises ValueError, and one that
+    contains an edge NotIndependentError, when the loop reaches it.
+    jobs accepts only 1.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
@@ -184,6 +185,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     iii_counter = ""
     print_containers: dict[Print, frozenset[int]] = {}
     for iset in sets:
+        iset = frozenset(iset)
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
                              f"outside [0, {h.n})")

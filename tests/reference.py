@@ -2,15 +2,17 @@
 directly and independently of the construction's fast paths.
 
 Each is exhaustive or a plain scan, so use them on small instances only.
-sample_ksets is gen_random's candidate draw as random.sample makes it.
+sample_ksets is gen_random's candidate draw as random.sample makes it,
+and gen_random_edges the whole of gen_random written with it.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from hypercontainers.bounded import _level_caps
+from hypercontainers.bounded import _level_caps, greedy_bounded_sub
 from hypercontainers.core import Edge, Hypergraph, HypergraphError
 
 
@@ -88,6 +90,19 @@ def sample_ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
     sorted k-subsets of range(n)."""
     while True:
         yield tuple(sorted(rng.sample(range(n), k)))
+
+
+def gen_random_edges(n: int, k: int, delta: float, seed: int) -> tuple[Edge, ...]:
+    """gen_random's edges by its definition: the first
+    ceil(n^(1+(k-1)delta)) distinct sample_ksets candidates, sorted, then
+    trimmed by greedy_bounded_sub."""
+    target = math.ceil(n ** (1 + (k - 1) * delta))
+    edges: set[Edge] = set()
+    for e in sample_ksets(random.Random(seed), n, k):
+        edges.add(e)
+        if len(edges) == target:
+            break
+    return greedy_bounded_sub(Hypergraph(n, k, tuple(sorted(edges))), delta).edges
 
 
 def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:

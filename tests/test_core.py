@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -40,6 +41,19 @@ class TestConstruction:
     def test_out_of_range_vertex(self):
         with pytest.raises(HypergraphError):
             new_hypergraph(4, 2, [{0, 5}])
+
+    @pytest.mark.parametrize("raw", [(0, 1.5), (0, 1.0), (0, "1"), (0, None)],
+                             ids=["fraction", "integral_float", "str", "none"])
+    def test_non_integer_vertex(self, raw):
+        with pytest.raises(HypergraphError, match=re.escape(
+                f"edge {raw} has a vertex that is not an integer")):
+            new_hypergraph(4, 2, [(2, 3), raw])
+
+    def test_numpy_integer_vertices(self):
+        np = pytest.importorskip("numpy")
+        h = new_hypergraph(4, 2, [np.array([1, 0]), (np.int64(2), 3)])
+        assert h.edges == ((0, 1), (2, 3))
+        assert all(type(v) is int for e in h.edges for v in e)
 
     def test_wrong_arity(self):
         with pytest.raises(HypergraphError):

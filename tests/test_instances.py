@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import islice
 
@@ -21,7 +22,7 @@ from hypercontainers.instances import (
     write_edge_list,
 )
 from conftest import hypergraphs
-from reference import sample_ksets
+from reference import gen_random_edges, sample_ksets
 
 
 def brute_ap_count(n, k):
@@ -100,6 +101,17 @@ class TestGenRandom:
                 assert got == want, (n, k, seed)
                 assert ours.getstate() == theirs.getstate(), (n, k, seed)
 
+    # both sides of sample's pool switch at 21, wherever the target
+    # ceil(n^(1+delta)) is at most C(n, 2)
+    @pytest.mark.parametrize("n, delta", [
+        (n, delta) for n in [*range(2, 31), 200, 4096]
+        for delta in (0.0, 0.25, 0.5)
+        if math.ceil(n ** (1 + delta)) <= math.comb(n, 2)])
+    def test_k2_route_matches_definition(self, n, delta):
+        for seed in range(3):
+            got = gen_random(n, 2, delta, 0.5, seed).edges
+            assert got == gen_random_edges(n, 2, delta, seed), (n, delta, seed)
+
     @pytest.mark.parametrize("args, edges, sha256", [
         ((16384, 2, 0.25, 0.3, 1000), 82571,
          "f03ffa71949ecfcfaf172d5c9c22ed842c019d42203b795849a43edffc30b1fe"),
@@ -107,6 +119,8 @@ class TestGenRandom:
          "38f31d3f0f7444184fa394885adcc4f38394d4fbe742c64ab2ed365dc45ec024"),
         ((12, 4, 0.3, 0.6, 2), 23,  # random.sample's pool branch
          "074b00dd64e1b123718c31d282d17949b0c099e21097369467a1cf7677ebef07"),
+        ((12, 2, 0.3, 0.6, 1), 10,  # the same, at k = 2
+         "47a67ab78addd1d3e2bbf09b1bf08199477812d26f2457d319817299f1028438"),
     ])
     def test_instance_bytes_pinned(self, tmp_path, args, edges, sha256):
         h = gen_random(*args)

@@ -195,6 +195,17 @@ class TestVerify:
             verify(ctx, stream())
         assert pulled == [{4}, {0, 2}, {0, 1, 5}]
 
+    def test_sets_given_as_lists_tuples_or_sets(self):
+        h = new_hypergraph(6, 2, [(0, 1), (2, 3)])
+        sets = [[0, 3], (4, 5, 2), {1}, []]
+        ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 6))
+        want = verify(ctx, list(map(frozenset, sets))).to_text()
+        ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 6))
+        assert verify(ctx, sets).to_text() == want
+        with pytest.raises(NotIndependentError,
+                           match=re.escape("supplied set {0,1} contains edge (0, 1)")):
+            verify(ctx, [[1, 0]])
+
     def test_memory_bounded_by_distinct_prints(self):
         # 9216 independent sets, 5 distinct prints: a run that kept the
         # sets or their (set, print, container) triples would peak at
