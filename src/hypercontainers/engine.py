@@ -9,8 +9,10 @@ and the per-element growth inequality.  If F ever becomes expanding, a
 homogeneous witness G_F inside the fiber is fixed and the construction
 recurses on G_F at uniformity k - 1; otherwise the single-fingerprint
 print (F) is emitted and its container is the set of vertices of small
-degree in H^- (the hypergraph with the fiber-incident and high-codegree
-edges removed).
+degree in H^-: H minus the edges H^ with a (k-1)-subset in the fiber H_F
+or a t-subset of high degree in H_F.  Each such edge passes through a
+vertex H_F covers, so H^ is gathered there, and deg_H-(x) is deg_H(x)
+minus the edges of H^ through x; H^- itself is never built.
 
 Both print_of and container_of are pure functions of (hypergraph,
 parameters, mode): every choice point is resolved by canonical vertex or
@@ -19,8 +21,9 @@ edge order, and the G_F witnesses are memoized by fingerprint.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .bounded import (
     DEFAULT_EXACT_CAP,
@@ -31,6 +34,7 @@ from .bounded import (
 )
 from .core import (
     LOG_TOL,
+    Edge,
     Hypergraph,
     check_shape,
     cmp_log,
@@ -136,7 +140,6 @@ class EngineContext:
         self._fell_back = False
         self._fiber_size: dict[Fingerprint, int] = {}
         self._gf: dict[Fingerprint, tuple[Hypergraph, "EngineContext"]] = {}
-        self._containers: dict[Print, frozenset[int]] = {}
 
     # -- oracle plumbing ---------------------------------------------------
 
@@ -236,54 +239,47 @@ class EngineContext:
 
     # -- the container relation --------------------------------------------
 
-    def h_minus(self, f) -> tuple[Hypergraph, Hypergraph]:
-        """(H^-, H^) for a fingerprint F: H^ collects the edges with a
-        (k-1)-subset in the fiber H_F or a t-subset of high degree in
-        H_F, and H^- is the rest."""
+    def h_minus(self, f) -> set[Edge]:
+        """H^ for a fingerprint F: the edges with a (k-1)-subset in the fiber
+        H_F or a t-subset of high degree in H_F.  Such a subset lies in a
+        fiber edge, so only the edges through the vertices of H_F count."""
         h, p = self.h, self.params
         if h.k < 2:
             raise EngineError("h_minus needs k >= 2")
         hf = vertex_fiber(h, frozenset(f))
         # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
-        levels = [(h.k - 1, hf.edge_set)] + [
-            (t, nabla(hf, t, p.delta)) for t in range(1, h.k - 1)]
-        hat, rest = [], []
-        for e in h.edges:
-            high = any(u in marked for t, marked in levels for u in combinations(e, t))
-            (hat if high else rest).append(e)
-        return (Hypergraph(h.n, h.k, tuple(rest)),
-                Hypergraph(h.n, h.k, tuple(hat)))
+        marked = hf.edge_set.union(*(nabla(hf, t, p.delta) for t in range(1, h.k - 1)))
+        near = {e for v in hf.covered_vertices() for e in h.incidence[v]}
+        return {e for e in near
+                if any(u in marked for t in range(1, h.k) for u in combinations(e, t))}
 
     def container_of(self, prnt: Print) -> frozenset[int]:
         """The container of a print.  Partial: defined on the image of
-        print_of (length 0 only at k = 1, length >= 1 at k >= 2)."""
+        print_of (in X; length 0 only at k = 1, length >= 1 at k >= 2)."""
         prnt = tuple(map(frozenset, prnt))
-        hit = self._containers.get(prnt)
-        if hit is not None:
-            return hit
         h, p = self.h, self.params
+        outside = [v for v in chain.from_iterable(prnt) if not 0 <= v < h.n]
+        if outside:
+            raise PrintDomainError(f"print has vertex {min(outside)} outside [0, {h.n})")
         if h.k == 1:
             if len(prnt) != 0:
                 raise PrintDomainError("only the empty print is valid at k = 1")
-            c = frozenset(h.vertices) - h.covered_vertices()
-        else:
-            if len(prnt) == 0:
-                raise PrintDomainError("empty print is outside the domain at k >= 2")
-            f0 = prnt[0]
-            if self.fingerprint_expanding(f0):
-                _gf, child = self.child_for(f0)
-                c = child.container_of(prnt[1:])
-            else:
-                if len(prnt) > 1:
-                    raise PrintDomainError(
-                        "non-expanding first fingerprint with a non-trivial tail")
-                hminus, _hat = self.h_minus(f0)
-                tau = (p.k - 1) * p.delta_p - p.eps_tilde
-                c = frozenset(
-                    x for x in h.vertices
-                    if cmp_log(len(hminus.incidence.get(x, ())), tau, h.n) < 0)
-        self._containers[prnt] = c
-        return c
+            return frozenset(h.vertices) - h.covered_vertices()
+        if len(prnt) == 0:
+            raise PrintDomainError("empty print is outside the domain at k >= 2")
+        f0 = prnt[0]
+        if self.fingerprint_expanding(f0):
+            _gf, child = self.child_for(f0)
+            return child.container_of(prnt[1:])
+        if len(prnt) > 1:
+            raise PrintDomainError(
+                "non-expanding first fingerprint with a non-trivial tail")
+        # deg_H-(x) = deg_H(x) - lost(x), the edges of H^ through x
+        lost = Counter(chain.from_iterable(self.h_minus(f0)))
+        tau = (p.k - 1) * p.delta_p - p.eps_tilde
+        return frozenset(
+            x for x in h.vertices
+            if cmp_log(len(h.incidence.get(x, ())) - lost[x], tau, h.n) < 0)
 
 
 def print_union(prnt: Print) -> frozenset[int]:

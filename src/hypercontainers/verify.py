@@ -171,7 +171,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     container_of raises EngineError fails (i) or (ii) respectively.
 
     The sets, each any iterable of vertices, are consumed once, in
-    order, and only the distinct prints and their containers are kept.
+    order, and only the distinct prints and their containers are kept;
+    container_of is asked once per distinct print.
     A set with a vertex outside X raises ValueError, and one that
     contains an edge NotIndependentError, when the loop reaches it.
     jobs accepts only 1.
@@ -199,12 +200,14 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         except EngineError:
             cond_i = False
             continue
-        try:
-            cont = ctx.container_of(prnt)
-        except EngineError:
-            cond_ii = False
-            continue
-        print_containers.setdefault(prnt, cont)
+        cont = print_containers.get(prnt)
+        if cont is None:
+            try:
+                cont = ctx.container_of(prnt)
+            except EngineError:
+                cond_ii = False
+                continue
+            print_containers[prnt] = cont
         up = print_union(prnt)
         if cond_iii and not up <= iset <= (up | cont):
             cond_iii = False

@@ -3,7 +3,9 @@ directly and independently of the construction's fast paths.
 
 Each is exhaustive or a plain scan, so use them on small instances only.
 sample_ksets is gen_random's candidate draw as random.sample makes it,
-and gen_random_edges the whole of gen_random written with it.
+and gen_random_edges the whole of gen_random written with it.  h_minus
+splits every edge of H into H^- and H^, as the container's definition
+reads.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from hypercontainers.bounded import _level_caps, greedy_bounded_sub
-from hypercontainers.core import Edge, Hypergraph, HypergraphError
+from hypercontainers.core import Edge, Hypergraph, HypergraphError, nabla, vertex_fiber
+from hypercontainers.engine import EngineError
 
 
 def fiber(h: Hypergraph, us: Iterable[Iterable[int]]) -> Hypergraph:
@@ -132,3 +135,22 @@ def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:
 
     rec(0, 0)
     return best
+
+
+def h_minus(ctx, f) -> tuple[Hypergraph, Hypergraph]:
+    """(H^-, H^) for a fingerprint F of the context ctx: H^ collects the
+    edges with a (k-1)-subset in the fiber H_F or a t-subset of high
+    degree in H_F, and H^- is the rest."""
+    h, p = ctx.h, ctx.params
+    if h.k < 2:
+        raise EngineError("h_minus needs k >= 2")
+    hf = vertex_fiber(h, frozenset(f))
+    # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
+    levels = [(h.k - 1, hf.edge_set)] + [
+        (t, nabla(hf, t, p.delta)) for t in range(1, h.k - 1)]
+    hat, rest = [], []
+    for e in h.edges:
+        high = any(u in marked for t, marked in levels for u in combinations(e, t))
+        (hat if high else rest).append(e)
+    return (Hypergraph(h.n, h.k, tuple(rest)),
+            Hypergraph(h.n, h.k, tuple(hat)))

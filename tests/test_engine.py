@@ -24,11 +24,11 @@ from hypercontainers.engine import (
     derive_params,
     print_union,
 )
-from hypercontainers.instances import gen_random
+from hypercontainers.instances import gen_ap, gen_random
 from hypercontainers.verify import enumerate_independent_sets, verify
 
 from conftest import random_hypergraph
-from reference import section
+from reference import h_minus, section
 
 
 class TestDeriveParams:
@@ -257,14 +257,14 @@ class TestHMinus:
     def test_empty_fingerprint(self):
         h = new_hypergraph(6, 2, [(0, 1), (2, 3)])
         ctx = _ctx(h, 0.5, 0.5)
-        hm, hat = ctx.h_minus(frozenset())
+        hm, hat = h_minus(ctx, frozenset())
         assert hat.edges == ()
         assert hm.edges == h.edges
 
     def test_k2_hand_example(self):
         h = new_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
         ctx = _ctx(h, 0.5, 0.5)
-        hm, hat = ctx.h_minus(frozenset({0}))
+        hm, hat = h_minus(ctx, frozenset({0}))
         # fiber over {0} is {1}; edges containing vertex 1 are removed
         assert set(hat.edges) == {(0, 1), (1, 2)}
         assert hm.edges == ((2, 3),)
@@ -278,7 +278,7 @@ class TestHMinus:
             h = Hypergraph(8, 3, tuple(sorted(edges)))
             ctx = _ctx(h, 0.6, 0.5)
             f = frozenset(rng.sample(range(8), 2))
-            hm, hat = ctx.h_minus(f)
+            hm, hat = h_minus(ctx, f)
             # independent evaluation through section/nabla primitives
             hf = vertex_fiber(h, f)
             expect_hat = set(section(h, list(hf.edges), [{v} for v in range(8)]))
@@ -296,11 +296,56 @@ class TestHMinus:
                 continue
             ctx = _ctx(h, 0.7, 0.5)
             f = frozenset(rng.sample(range(h.n), rng.randint(1, 2)))
-            hm, _hat = ctx.h_minus(f)
+            hm, _hat = h_minus(ctx, f)
             hf = vertex_fiber(h, f)
             overlap = section(hm, list(hf.edges), [{v} for v in range(h.n)]) \
                 if hf.edges else frozenset()
             assert overlap == frozenset()
+
+
+@st.composite
+def _fingerprint_cases(draw):
+    """A k-uniform hypergraph (k = 2, 3, 4) on the vertices below m - 1,
+    inside X = [0, n) with n = m or 1024, a fingerprint that may be empty
+    or hold vertices of degree 0, and parameters.  At n = m nearly every
+    non-empty fingerprint is expanding (log_n 2 is large); at n = 1024
+    and pi = 0.8 most are not, and n^tau, the H^- degree bound, is 1 to 8
+    at k = 2 to 4, so the edges H^ takes away decide the container."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(k + 2, 10))
+    n = draw(st.sampled_from([m, 1024]))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(m - 1), k))),
+                          max_size=16, unique=True))
+    f = draw(st.frozensets(st.integers(0, m - 1) | st.just(n - 1), max_size=3))
+    pi, eps = draw(st.sampled_from([(0.8, 0.1), (0.8, 0.3), (0.6, 0.5), (0.4, 0.1)]))
+    return Hypergraph(n, k, tuple(sorted(edges))), f, pi, eps
+
+
+_PATH3 = Hypergraph(6, 3, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
+# F = {0} gives vertex 1 fiber degree 3 >= 9^0.4: (1, 5, 6) holds no
+# fiber pair but is in H^ through the high-degree vertex 1
+_FAN3 = Hypergraph(9, 3, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 5, 6), (5, 6, 7)))
+
+
+@given(case=_fingerprint_cases())
+@example(case=(_PATH3, frozenset(), 0.6, 0.5))
+@example(case=(_PATH3, frozenset({5}), 0.6, 0.5))
+@example(case=(_PATH3, frozenset({0, 5}), 0.6, 0.5))
+@example(case=(_FAN3, frozenset({0, 8}), 0.6, 0.5))
+@settings(max_examples=150, deadline=None)
+def test_h_minus_matches_reference(case):
+    # h_minus scans only the edges near the fiber; the reference splits
+    # every edge of H
+    h, f, pi, eps = case
+    ctx = _ctx(h, pi, eps)
+    hm, hat = h_minus(ctx, f)
+    assert set(ctx.h_minus(f)) == set(hat.edges)
+    if not ctx.fingerprint_expanding(f):
+        p = ctx.params
+        tau = (p.k - 1) * p.delta_p - p.eps_tilde
+        expect = {x for x in range(h.n)
+                  if cmp_log(len(hm.incidence.get(x, ())), tau, h.n) < 0}
+        assert ctx.container_of((f,)) == expect
 
 
 class TestContainerOf:
@@ -318,6 +363,16 @@ class TestContainerOf:
         h = new_hypergraph(4, 2, [(0, 1)])
         with pytest.raises(PrintDomainError):
             _ctx(h, 0.5, 0.5).container_of(())
+
+    @pytest.mark.parametrize("prnt, bad", [((frozenset({99}),), 99),
+                                           ((frozenset({-1}),), -1),
+                                           ((frozenset({0, 99}),), 99)])
+    def test_rejects_vertex_outside_x(self, prnt, bad):
+        # the first fingerprint may be non-expanding ({99}, {-1}) or
+        # expanding ({0, 99}): either way the vertex is named
+        ctx = _ctx(gen_ap(14, 3), 0.55, 0.5)
+        with pytest.raises(PrintDomainError, match=rf"vertex {bad} outside \[0, 14\)"):
+            ctx.container_of(prnt)
 
     def test_empty_fingerprint_formula(self):
         h = new_hypergraph(8, 2, [(0, 1), (0, 2), (0, 3), (4, 5)])
@@ -344,7 +399,7 @@ class TestContainerOf:
                 assert c == frozenset(range(h.n)) - level.h.covered_vertices()
                 continue
             f = tail[0]
-            hm, _ = level.h_minus(f)
+            hm, _ = h_minus(level, f)
             p = level.params
             expect = {x for x in range(h.n)
                       if cmp_log(sum(1 for e in hm.edges if x in e),

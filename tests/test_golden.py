@@ -1,8 +1,9 @@
-"""Golden reports: the default report of six fixed runs, byte for byte.
+"""Golden reports: the default report of seven fixed runs, byte for byte.
 
 Each case loads a different route of the construction: the non-expanding
-H^- branch, the k=2 witness (b-matching) path, branch-and-bound, the
-permissive greedy fallback, the strict k=2 sampled path, and k=2
+H^- branch at k=3 and, in the paper's non-vacuous regime (sigma < 1,
+strict), at k=2; the k=2 witness (b-matching) path, branch-and-bound,
+the permissive greedy fallback, the strict k=2 sampled path, and k=2
 witnesses that the degree caps make smaller than their fibers.  A change
 that must not alter behaviour keeps these files unchanged.
 
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import low_degree_singletons
 from hypercontainers import (
     EngineContext,
     Hypergraph,
@@ -36,6 +38,12 @@ def _report(h, pi, eps, samples=None, **ctx_kw) -> str:
     return verify(ctx, sample_independent_sets(h, samples, 0)).to_text()
 
 
+def _hminus_k2_report() -> str:
+    h = gen_random(16384, 2, 0.25, 0.3, 1)
+    ctx = EngineContext(h, derive_params(h.k, 0.75, 0.3, h.n), mode="strict")
+    return verify(ctx, low_degree_singletons(h)).to_text()
+
+
 def _random_4sets() -> Hypergraph:
     rng = random.Random(31)
     edges = set()
@@ -54,6 +62,7 @@ CASES = {
         gen_random(2048, 2, 0.25, 0.4, 1), 0.75, 0.4, samples=20, mode="strict"),
     "random24_k3_binding": lambda: _report(
         gen_random(24, 3, 0.6, 0.3, 1), 0.7, 0.3, samples=4),
+    "random16384_k2_hminus": _hminus_k2_report,
 }
 
 

@@ -2,11 +2,20 @@ import math
 import random
 import re
 import tracemalloc
+from functools import cache
+from pathlib import Path
 
 import pytest
 
+from conftest import low_degree_singletons
 from hypercontainers.core import new_hypergraph
-from hypercontainers.engine import EngineContext, EngineError, NotIndependentError, derive_params
+from hypercontainers.engine import (
+    EngineContext,
+    EngineError,
+    NotIndependentError,
+    derive_params,
+    print_union,
+)
 from hypercontainers.instances import gen_random
 from hypercontainers.verify import (
     EnumerationCapError,
@@ -280,6 +289,77 @@ def test_engine_error_fails_condition(failing, cond):
     assert rep.samples == len(sets)
     assert not getattr(rep, cond)
     assert rep.cond_iii and [rep.cond_i, rep.cond_ii].count(False) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_FLAGS = ("cond_i", "cond_ii", "cond_iii", "cond_iv", "diag_quarter_ok")
+
+
+def _flipped(rep, golden: str) -> set[str]:
+    """The condition and diagnostic flags on which rep differs from the
+    golden report of the unperturbed run."""
+    def flags(text):
+        lines = dict(line.split(" = ", 1) for line in text.splitlines())
+        return {k: lines[k] for k in _FLAGS}
+    want = flags((GOLDEN / f"{golden}.txt").read_text(encoding="utf-8"))
+    got = flags(rep.to_text())
+    return {k for k in _FLAGS if got[k] != want[k]}
+
+
+def _braces(s) -> str:
+    return "{" + ",".join(map(str, sorted(s))) + "}"
+
+
+class _Mutant:
+    """The real engine, except that the container of the print target
+    is replaced by mutate(container)."""
+
+    def __init__(self, ctx, target, mutate):
+        self.ctx, self.target, self.mutate = ctx, target, mutate
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    def container_of(self, prnt):
+        c = self.ctx.container_of(prnt)
+        return self.mutate(c) if prnt == self.target else c
+
+
+def test_mutant_dropping_a_vertex_of_i_fails_iii():
+    # the random2048_k2_strict run with one vertex of I \ union(P) taken
+    # out of the container of I's print
+    h = gen_random(2048, 2, 0.25, 0.4, 1)
+    ctx = EngineContext(h, derive_params(2, 0.75, 0.4, h.n), mode="strict")
+    sets = list(sample_independent_sets(h, 20, 0))
+    target = ctx.print_of(sets[0])
+    v = min(sets[0] - print_union(target))
+    rep = verify(_Mutant(ctx, target, lambda c: c - {v}), sets)
+    assert _flipped(rep, "random2048_k2_strict") == {"cond_iii"}
+    assert rep.cond_iii_counterexample == (
+        f"I={_braces(sets[0])} P=" + "|".join(map(_braces, target))
+        + f" C={_braces(ctx.container_of(target) - {v})}")
+
+
+@cache
+def _hminus_k2_instance():
+    return gen_random(16384, 2, 0.25, 0.3, 1)
+
+
+@pytest.mark.parametrize("left, flips", [(100, {"diag_quarter_ok"}),
+                                         (2, {"diag_quarter_ok", "cond_iv"})])
+def test_mutant_growing_a_container(left, flips):
+    # the random16384_k2_hminus run with one H^- container grown until
+    # |X \ C| = left: below n^(1-eps)/4 ~ 220 the quarter diagnostic
+    # fails, and below n^(1-sigma) ~ 2.6 condition (iv) too
+    h = _hminus_k2_instance()
+    ctx = EngineContext(h, derive_params(2, 0.75, 0.3, h.n), mode="strict")
+    sets = low_degree_singletons(h)
+    target = ctx.print_of(sets[0])
+    x = frozenset(h.vertices)
+    rep = verify(_Mutant(ctx, target, lambda c: x - set(sorted(x - c)[-left:])), sets)
+    assert _flipped(rep, "random16384_k2_hminus") == flips
+    assert rep.diag_min_complement == left
+    assert bool(rep.cond_iv_counterexample) == ("cond_iv" in flips)
 
 
 class TestCountingBound:
