@@ -72,6 +72,12 @@ def pow_floor(n: int, tau: float) -> int:
     return max(d, 0)
 
 
+def pow_ceil(n: int, tau: float) -> int:
+    """Least integer d >= 0 with d >= n^tau under the cmp_log rule."""
+    d = pow_floor(n, tau)
+    return d if cmp_log(d, tau, n) == 0 else d + 1
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertex set {0, ..., n-1}.
@@ -99,8 +105,10 @@ class Hypergraph:
 
     @cached_property
     def max_degrees(self) -> tuple[int, ...]:
-        """Delta_ell for ell = 1, ..., k-1: one codegree pass per level."""
-        return tuple(max(codegrees(self.edges, ell).values(), default=0)
+        """Delta_ell for ell = 1, ..., k-1: level 1 from the incidence, one
+        codegree pass for each level above it."""
+        return tuple(max(codegrees(self.edges, ell).values(), default=0) if ell > 1
+                     else max(map(len, self.incidence.values()), default=0)
                      for ell in range(1, self.k))
 
     @property

@@ -40,6 +40,7 @@ from .core import (
     cmp_log,
     log_size,
     nabla,
+    pow_ceil,
     vertex_fiber,
 )
 
@@ -274,12 +275,12 @@ class EngineContext:
         if len(prnt) > 1:
             raise PrintDomainError(
                 "non-expanding first fingerprint with a non-trivial tail")
-        # deg_H-(x) = deg_H(x) - lost(x), the edges of H^ through x
+        # keep x iff deg_H-(x) < n^tau, i.e. < cap, where deg_H-(x) is
+        # deg_H(x) - lost(x), the edges of H^ through x
         lost = Counter(chain.from_iterable(self.h_minus(f0)))
-        tau = (p.k - 1) * p.delta_p - p.eps_tilde
+        cap = pow_ceil(h.n, (p.k - 1) * p.delta_p - p.eps_tilde)
         return frozenset(
-            x for x in h.vertices
-            if cmp_log(len(h.incidence.get(x, ())) - lost[x], tau, h.n) < 0)
+            x for x in h.vertices if len(h.incidence.get(x, ())) - lost[x] < cap)
 
 
 def print_union(prnt: Print) -> frozenset[int]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
-from itertools import chain
 
 from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
 from .engine import EngineError, NotIndependentError, Params, Print, print_union
@@ -53,6 +52,20 @@ def enumerate_independent_sets(h: Hypergraph, cap: int = DEFAULT_ENUM_CAP):
     yield from rec(0, 0, [])
 
 
+def _shuffled(n: int, rng: random.Random) -> list[int]:
+    """list(range(n)) after rng.shuffle, draw for draw: shuffle's getrandbits
+    calls are replayed in order, without its per-swap _randbelow call."""
+    order = list(range(n))
+    getrandbits = rng.getrandbits
+    for bits in range(n.bit_length(), 1, -1):  # swap i draws (i + 1).bit_length() bits
+        for i in range(min(n - 1, (1 << bits) - 2), (1 << (bits - 1)) - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+    return order
+
+
 def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
     """Greedy maximal independent set along a seed-determined permutation.
 
@@ -62,16 +75,14 @@ def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
     of its edges instead.  Both routes return the same set with the same
     iteration order: that of an add-only set filled in draw order.
     """
-    rng = random.Random(seed)
-    order = list(h.vertices)
-    rng.shuffle(order)
+    order = _shuffled(h.n, random.Random(seed))
     taken: set[int] = set()
     if h.k == 2:
         blocked: set[int] = set()
         for v in order:
             if v not in blocked:
                 taken.add(v)
-                blocked.update(chain.from_iterable(h.incidence.get(v, ())))
+                blocked.update(*h.incidence.get(v, ()))
         return frozenset(taken)
     for v in order:
         taken.add(v)
@@ -190,10 +201,9 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
                              f"outside [0, {h.n})")
-        for e in h.edges:
-            if iset.issuperset(e):
-                raise NotIndependentError(
-                    f"supplied set {_set_str(iset)} contains edge {e}")
+        e = next(filter(iset.issuperset, h.edges), None)
+        if e is not None:
+            raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
         samples += 1
         try:
             prnt = ctx.print_of(iset)

@@ -18,6 +18,7 @@ from hypercontainers.core import (
     max_degree,
     nabla,
     new_hypergraph,
+    pow_ceil,
     pow_floor,
     vertex_fiber,
 )
@@ -105,6 +106,15 @@ class TestLogScale:
         assert pow_floor(10, 0.0) == 1
         assert pow_floor(10, NEG_INF) == 0
 
+    @pytest.mark.parametrize("n, tau, least", [(16, 0.5, 4), (16, 0.25, 2), (16, -0.3, 1),
+                                               (1024, 0.1, 2), (1024, 0.35, 12),
+                                               (10, 0.0, 1), (10, NEG_INF, 0)])
+    def test_pow_ceil_is_the_per_count_threshold(self, n, tau, least):
+        # d < pow_ceil(n, tau) iff cmp_log(d, tau, n) < 0, ties at 16^0.5 = 4
+        # and 16^0.25 = 2 included, and 1 for a negative tau
+        assert pow_ceil(n, tau) == least
+        assert all((d < least) == (cmp_log(d, tau, n) < 0) for d in range(n + 1))
+
 
 H334 = new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
 STAR = new_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
@@ -153,8 +163,10 @@ class TestDegrees:
             max_degree(STAR, 2)
 
     @pytest.mark.parametrize("k,edges", [(2, [(0, 1), (0, 2), (3, 4)]),
-                                         (3, [(0, 1, 2), (0, 1, 3), (2, 4, 5)])])
+                                         (3, [(0, 1, 2), (0, 1, 3), (2, 4, 5)]),
+                                         (4, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5)])])
     def test_report_predicates_count_each_level_once(self, monkeypatch, k, edges):
+        # level 1 is read off the incidence; levels 2..k-1 take one pass each
         calls = []
         count = core.codegrees
         monkeypatch.setattr(core, "codegrees",
@@ -163,7 +175,16 @@ class TestDegrees:
         ldeg(h)
         is_bounded(h, 0.5)
         is_homogeneous(h, 0.5, 0.3)
-        assert sorted(calls) == list(range(1, k))
+        assert sorted(calls) == list(range(2, k))
+
+    @given(h=hypergraphs(k_max=4))
+    @example(h=new_hypergraph(5, 1, []))
+    @example(h=new_hypergraph(5, 2, []))
+    @example(h=new_hypergraph(6, 4, []))
+    @settings(max_examples=200, deadline=None)
+    def test_max_degrees_match_reference(self, h):
+        assert h.max_degrees == tuple(max(reference.codegrees(h.edges, ell).values(), default=0)
+                                      for ell in range(1, h.k))
 
 
 class TestSection:

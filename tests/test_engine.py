@@ -348,6 +348,27 @@ def test_h_minus_matches_reference(case):
         assert ctx.container_of((f,)) == expect
 
 
+# n = 1024, pi = 0.8, eps = 0.1: F = {0} is non-expanding (|H_F| = 4 <
+# 1024^0.5) and its fiber gives vertex 1 degree 4 >= 1024^0.2, so H^ is the
+# four edges through (0, 1) and (1, 6, 7) besides; H^- keeps x iff its
+# degree there is below 1024^0.1 = 2
+_NEAR3 = Hypergraph(1024, 3, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (1, 6, 7),
+                              (2, 3, 8), (6, 7, 8), (6, 7, 9), (7, 8, 9)))
+
+
+def test_k3_container_drops_the_edges_of_h_hat():
+    ctx = _ctx(_NEAR3, 0.8, 0.1)
+    f = frozenset({0})
+    assert not ctx.fingerprint_expanding(f)
+    hm, hat = h_minus(ctx, f)
+    assert ctx.h_minus(f) == set(hat.edges) == set(_NEAR3.edges[:5])
+    p = ctx.params
+    tau = (p.k - 1) * p.delta_p - p.eps_tilde
+    small = {x for x in range(1024) if cmp_log(len(hm.incidence.get(x, ())), tau, 1024) < 0}
+    # 0 to 3 (H-degrees 4, 5, 2 and 2) are in only because H^ is taken away
+    assert ctx.container_of((f,)) == small == set(range(1024)) - {6, 7, 8, 9}
+
+
 class TestContainerOf:
     def test_k1_base_case(self):
         h = new_hypergraph(4, 1, [(0,), (1,)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from hypercontainers.engine import (
 from hypercontainers.instances import gen_random
 from hypercontainers.verify import (
     EnumerationCapError,
+    _shuffled,
     counting_bound,
     enumerate_independent_sets,
     sample_independent_set,
@@ -125,6 +127,28 @@ class TestSampling:
             for seed in range(3):
                 assert list(sample_independent_set(h, seed)) == list(reference(h, seed))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_replays_random_shuffle(self, seed):
+        # same permutation and the same generator state after it, across
+        # every bit-count boundary below 41 and at the benchmark's n
+        for n in [*range(1, 41), 1000, 16384]:
+            want, got = random.Random(seed), random.Random(seed)
+            order = list(range(n))
+            want.shuffle(order)
+            assert _shuffled(n, got) == order
+            assert got.getstate() == want.getstate()
+
+    def test_benchmark_draws_pinned(self):
+        # the 8 sets of k2-strict-n16384's default run, in iteration order:
+        # a sampler change that alters any draw changes this hash, even where
+        # the reports' aggregates do not move
+        h = gen_random(16384, 2, 0.25, 0.3, 1000)
+        digest = hashlib.sha256()
+        for s in sample_independent_sets(h, 8, 1000):
+            digest.update((",".join(map(str, s)) + "\n").encode())
+        assert digest.hexdigest() == (
+            "949adcd15bd8664a3f23466ebb27a942ea6ca03db21d782fe89cf096546f61d2")
+
     def test_negative_count_raises_at_the_call(self):
         h = gen_random(30, 2, 0.3, 0.6, seed=8)
         with pytest.raises(ValueError):
@@ -159,6 +183,13 @@ class TestVerify:
         ctx = EngineContext(h, derive_params(2, 0.5, 0.5, 4))
         with pytest.raises(NotIndependentError, match=r"\(0, 1\)"):
             verify(ctx, [frozenset({0, 1})])
+
+    def test_rejects_dependent_set_naming_its_least_edge(self):
+        h = new_hypergraph(6, 2, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        ctx = EngineContext(h, derive_params(2, 0.5, 0.5, 6))
+        with pytest.raises(NotIndependentError,
+                           match=re.escape("supplied set {1,2,3,4} contains edge (1, 2)")):
+            verify(ctx, [frozenset({4, 3, 2, 1})])
 
     def test_quarter_bound_tie_holds(self):
         # |X \ C| = 4 = 1024^0.4 / 4 exactly, where a float quarter of
