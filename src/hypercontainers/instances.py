@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 import random
 import re
-from itertools import compress
+from array import array
+from bisect import bisect_left
+from itertools import compress, islice
 from math import comb
-from operator import eq, lt
+from operator import eq, lt, ne
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
@@ -29,13 +31,19 @@ class FormatError(ValueError):
 _NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 
 
+# random.sample's switch for k <= 5: a pool up to this n, a set above
+_SAMPLE_SETSIZE = 21
+# 32-bit words _pair_codes takes from one getrandbits call
+_BLOCK_WORDS = 4096
+
+
 def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
     """Endless sorted k-subsets of range(n), identical draw for draw to
     tuple(sorted(rng.sample(range(n), k))).  Up to sample's pool/set
     switch (tiny n) they are drawn by sample itself; above it, sample's
     set branch is replayed with the same rng.getrandbits calls in the same
     order, without sample's per-call overhead."""
-    setsize = 21  # sample's switch: a pool up to this n, a set above
+    setsize = _SAMPLE_SETSIZE
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n <= setsize:
@@ -54,27 +62,72 @@ def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
             yield tuple(sorted(taken))
 
 
-def _greedy_pairs(n: int, pairs: Iterator[Edge], target: int,
+def _word_block(rng: random.Random) -> array:
+    """The next _BLOCK_WORDS 32-bit outputs of rng, in the order that
+    getrandbits(32) would return them one by one: getrandbits(32 * W)
+    holds W of them, least significant first."""
+    nbytes = 4 * _BLOCK_WORDS
+    return array("I", rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little"))
+
+
+def _pair_codes(rng: random.Random, n: int) -> Iterator[int]:
+    """Endless codes a * n + b of the pairs (a, b) that _ksets(rng, n, 2)
+    yields, for _SAMPLE_SETSIZE < n < 2^32.
+
+    There _ksets draws getrandbits(bits) with bits = n.bit_length() <= 32,
+    which is the next 32-bit Mersenne word shifted right by 32 - bits.  So
+    the words are read in blocks (_word_block), and a value out of range
+    or equal to its pair's first is skipped, as _ksets redraws it.  The
+    last block is drawn past the last word used, so rng must not be drawn
+    from again."""
+    shift = 32 - n.bit_length()
+    limit = n << shift  # w >> shift < n iff w < limit
+    a = -1  # the pair's first value, once drawn
+    while True:
+        for w in _word_block(rng):
+            if w < limit:
+                if a < 0:
+                    a = w >> shift
+                else:
+                    b = w >> shift
+                    if a < b:
+                        yield a * n + b
+                        a = -1
+                    elif b < a:
+                        yield b * n + a
+                        a = -1
+
+
+def _greedy_pairs(n: int, codes: Iterator[int], target: int,
                   cap: int) -> tuple[Edge, ...]:
     """greedy_bounded_sub at k = 2 over the first target distinct pairs,
     taken in sorted order: keep (a, b) iff both a and b are in fewer
-    than cap kept pairs.  A pair a < b is held as the int a * n + b,
-    which sorts as the tuple does; tuples are built for kept pairs only."""
-    codes: set[int] = set()
-    for a, b in pairs:
-        codes.add(a * n + b)
-        if len(codes) == target:
-            break
-    ordered = sorted(codes)
-    del codes
+    than cap kept pairs.  A pair a < b comes as the code a * n + b, which
+    sorts as the tuple does; tuples are built for kept pairs only.
+
+    The distinct codes are kept in a sorted list, not a set, for memory:
+    the first target codes sorted, without repeats, then while d are
+    missing the next d codes, of which at most d are new, so the list is
+    complete exactly where a set of the codes would reach target."""
+    ordered = sorted(islice(codes, target))
+    ordered = [*compress(ordered, map(ne, ordered, ordered[1:])), *ordered[-1:]]
+    while len(ordered) < target:
+        new = set()
+        for c in islice(codes, target - len(ordered)):
+            i = bisect_left(ordered, c)
+            if i == len(ordered) or ordered[i] != c:
+                new.add(c)
+        ordered += new
+        ordered.sort()
     deg = [0] * n
+    vertex = list(range(n))  # one int object per vertex, shared by its pairs
     kept = []
     for c in ordered:
         a, b = divmod(c, n)
         if deg[a] < cap and deg[b] < cap:
             deg[a] += 1
             deg[b] += 1
-            kept.append((a, b))
+            kept.append((vertex[a], vertex[b]))
     return tuple(kept)
 
 
@@ -82,7 +135,8 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
                seed: int) -> Hypergraph:
     """Random near-homogeneous instance: draw uniform k-sets until
     ceil(n^(1+(k-1)delta)) distinct candidates, then trim greedily to a
-    delta_target-bounded subhypergraph.  Deterministic per seed.
+    delta_target-bounded subhypergraph.  Deterministic per seed.  n must
+    be below 2^32.
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
     in a loop on random.Random(seed): _ksets draws tiny instances by
@@ -90,22 +144,31 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     switch.  eps_target is not read: the output does not depend on it.
 
     At k = 2 the same candidates are kept by the same rule as
-    greedy_bounded_sub's, in the same sorted order, but _greedy_pairs
-    holds each candidate as one int and counts degrees in a list, so no
-    tuple or dict key is made for a candidate that is not kept.
+    greedy_bounded_sub's, in the same sorted order, but each is held as
+    one int a * n + b: above the pool switch _pair_codes reads them from
+    blocks of random words, and _greedy_pairs counts degrees in a list,
+    so no tuple or dict key is made for a candidate that is not kept.
     """
     check_shape(n, k)
+    if n >= 2 ** 32:
+        # the word draw needs n.bit_length() <= 32; the >= n candidates
+        # would not fit in memory anyway
+        raise HypergraphError(f"need n < 2^32, got {n}")
     target = math.ceil(n ** (1 + (k - 1) * delta_target))
     total = comb(n, k)
     if target > total:
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
-    ksets = _ksets(random.Random(seed), n, k)
+    rng = random.Random(seed)
     if k == 2:
-        kept = _greedy_pairs(n, ksets, target, pow_floor(n, delta_target))
+        if n > _SAMPLE_SETSIZE:
+            codes = _pair_codes(rng, n)
+        else:
+            codes = (a * n + b for a, b in _ksets(rng, n, 2))
+        kept = _greedy_pairs(n, codes, target, pow_floor(n, delta_target))
         return Hypergraph(n, k, kept)
     edges: set[Edge] = set()
-    for e in ksets:
+    for e in _ksets(rng, n, k):
         edges.add(e)
         if len(edges) == target:
             break
@@ -129,37 +192,100 @@ def gen_ap(n: int, k: int) -> Hypergraph:
 
 
 def write_edge_list(h: Hypergraph, path) -> None:
+    line = " ".join(["%d"] * h.k) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{h.k} {h.n} {len(h.edges)}\n")
-        for e in h.edges:
-            fh.write(" ".join(map(str, e)) + "\n")
+        fh.writelines(map(line.__mod__, h.edges))
 
 
 def read_edge_list(path) -> Hypergraph:
     """Read and validate an edge-list file: FormatError for a malformed
     or non-canonical line, HypergraphError for an invalid hypergraph."""
-    # newline="" and split("\n"): LF is the only line separator, so a CR
-    # or a Unicode separator stays inside its line and fails the checks
+    # newline="" and LF-only splitting: LF is the only line separator, so
+    # a CR or a Unicode separator stays inside its line and fails the checks
     with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    idx = 0
-    while idx < len(lines) and lines[idx].startswith("#"):
-        idx += 1
-    if idx == len(lines):
-        raise FormatError("missing header line")
-    parts = lines[idx].split(" ")
-    if len(parts) != 3 or _NONCANONICAL.search(lines[idx]):
-        raise FormatError(f"malformed header: {lines[idx]!r}")
+        text = fh.read()
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            raise FormatError("missing header line")
+    end = text.find("\n", start)
+    if end < 0:
+        end = len(text)
+    header, body = text[start:end], text[end + 1:]
+    del text
+    parts = header.split(" ")
+    if len(parts) != 3 or _NONCANONICAL.search(header):
+        raise FormatError(f"malformed header: {header!r}")
     try:
         k, n, m = (int(p) for p in parts)
     except ValueError as exc:
-        raise FormatError(f"malformed header: {lines[idx]!r}") from exc
+        raise FormatError(f"malformed header: {header!r}") from exc
+    if m < 0:
+        raise FormatError(f"malformed header: {header!r}")
     check_shape(n, k)
-    body = [ln for ln in lines[idx + 1:] if ln]
-    if len(body) != m:
-        raise FormatError(f"header promises {m} edges, found {len(body)} lines")
+    # drop the empty lines: the body becomes its non-empty lines joined by LF
+    while "\n\n" in body:
+        body = body.replace("\n\n", "\n")
+    body = body.strip("\n")
+    found = body.count("\n") + 1 if body else 0
+    if found != m:
+        raise FormatError(f"header promises {m} edges, found {found} lines")
+    edges = _bulk_edges(body, k, n, m)
+    if edges is None:
+        edges = _line_checked_edges(body.split("\n"), k, n)
+    edges.sort()
+    # every line is canonical, so the least repeated edge prints as its line
+    dup = next(compress(edges, map(eq, edges, edges[1:])), None)
+    if dup is not None:
+        raise FormatError(f"duplicate edge: {' '.join(map(str, dup))!r}")
+    return Hypergraph(n, k, tuple(edges))
+
+
+# after _bulk_edges' character check, a leading 0 follows a space or an LF
+_LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
+
+
+def _bulk_edges(body: str, k: int, n: int, m: int) -> list[Edge] | None:
+    """The edges of the m lines of body, in file order, or None if
+    _line_checked_edges would reject a line.  Each check runs over the
+    whole body at once, so a rejected body is passed on to name the line."""
+    if not m:
+        return []
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    # deleting digits and '-' leaves each line's k - 1 spaces and its LF,
+    # and any other character (a '+', a tab, a CR, ...) in its place
+    seps = (b" " * (k - 1) + b"\n") * m
+    if raw.translate(None, b"0123456789-") != seps[:-1]:
+        return None
+    if b"-0" in raw or _LEADING_ZERO.search(b"\n" + raw):
+        return None
+    try:
+        # the same tokens as each line's split(" "), m * k of them
+        vals = list(map(int, raw.replace(b"\n", b" ").split(b" ")))
+    except ValueError:
+        return None
+    del raw
+    cols = [vals[i::k] for i in range(k)]
+    del vals
+    if not all(all(map(lt, c, d)) for c, d in zip(cols, cols[1:])):
+        return None
+    if min(cols[0]) < 0 or max(cols[-1]) >= n:
+        return None
+    # one int object per vertex, shared by its edges
+    vertex: dict[int, int] = {}
+    return list(zip(*(map(vertex.setdefault, c, c) for c in cols)))
+
+
+def _line_checked_edges(lines: list[str], k: int, n: int) -> list[Edge]:
+    """The edges of lines, checked line by line to name the first that
+    fails: malformed, wrong arity, unsorted or out of range, then the
+    first non-canonical token anywhere."""
     edges = []
-    for ln in body:
+    for ln in lines:
         try:
             e = tuple(map(int, ln.split(" ")))
         except ValueError as exc:
@@ -173,14 +299,9 @@ def read_edge_list(path) -> Hypergraph:
         edges.append(e)
     # int() took every token, so one that is not str() of its value shows
     # as a character other than a digit, a space or a sign, or a leading 0
-    text = "\n".join(body)
+    text = "\n".join(lines)
     bad = _NONCANONICAL.search(text)
     if bad:
-        ln = body[text.count("\n", 0, bad.start())]
+        ln = lines[text.count("\n", 0, bad.start())]
         raise FormatError(f"non-canonical vertex token in edge line: {ln!r}")
-    edges.sort()
-    # every line is canonical, so the least repeated edge prints as its line
-    dup = next(compress(edges, map(eq, edges, edges[1:])), None)
-    if dup is not None:
-        raise FormatError(f"duplicate edge: {' '.join(map(str, dup))!r}")
-    return Hypergraph(n, k, tuple(edges))
+    return edges

@@ -34,6 +34,12 @@ class TestGen:
         assert run("gen", "--random", "--n", "1", "--k", "2", "-o", str(out)) == 2
         assert capsys.readouterr().err == "error: need n >= 2, got 1\n"
 
+    def test_random_n_too_large(self, tmp_path, capsys):
+        out = tmp_path / "x.hg"
+        assert run("gen", "--random", "--n", str(2**32), "--k", "2", "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: need n < 2^32, got 4294967296\n"
+        assert not out.exists()
+
 
 class TestParams:
     def test_output_lines(self, capsys):

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercontainers.core import (
     HypergraphError,
@@ -14,8 +15,13 @@ from hypercontainers.core import (
     new_hypergraph,
 )
 from hypercontainers.instances import (
+    _BLOCK_WORDS,
     FormatError,
+    _bulk_edges,
     _ksets,
+    _line_checked_edges,
+    _pair_codes,
+    _word_block,
     gen_ap,
     gen_random,
     read_edge_list,
@@ -101,10 +107,36 @@ class TestGenRandom:
                 assert got == want, (n, k, seed)
                 assert ours.getstate() == theirs.getstate(), (n, k, seed)
 
-    # both sides of sample's pool switch at 21, wherever the target
-    # ceil(n^(1+delta)) is at most C(n, 2)
+    def test_word_block_is_getrandbits_32(self):
+        for seed in range(3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                block = _word_block(ours)
+                assert block.itemsize == 4
+                assert list(block) == [theirs.getrandbits(32)
+                                       for _ in range(_BLOCK_WORDS)], seed
+            assert ours.getstate() == theirs.getstate(), seed
+
+    # n.bit_length() from 5 to 32, at and beside powers of two
+    @pytest.mark.parametrize("n", [22, 31, 32, 33, 2**15, 2**15 + 1, 2**31 + 1,
+                                   2**32 - 1])
+    def test_pair_codes_draw_as_sample(self, n):
+        for seed in range(2):
+            got = list(islice(_pair_codes(random.Random(seed), n), 2000))
+            want = [a * n + b for a, b in
+                    islice(sample_ksets(random.Random(seed), n, 2), 2000)]
+            assert got == want, (n, seed)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_n_at_least_2_to_32(self, k):
+        with pytest.raises(HypergraphError) as info:
+            gen_random(2**32, k, 0.25, 0.3, seed=0)
+        assert str(info.value) == "need n < 2^32, got 4294967296"
+
+    # both sides of sample's pool switch at 21 and of powers of two,
+    # wherever the target ceil(n^(1+delta)) is at most C(n, 2)
     @pytest.mark.parametrize("n, delta", [
-        (n, delta) for n in [*range(2, 31), 200, 4096]
+        (n, delta) for n in [*range(2, 31), 63, 64, 65, 200, 1024, 1025, 4096]
         for delta in (0.0, 0.25, 0.5)
         if math.ceil(n ** (1 + delta)) <= math.comb(n, 2)])
     def test_k2_route_matches_definition(self, n, delta):
@@ -148,6 +180,20 @@ class TestFileFormat:
         path = tmp_path / "c.hg"
         path.write_text("# generated\n# fixture\n2 4 1\n0 1\n")
         assert read_edge_list(path).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("text", ["2 4 2\n\n0 1\n\n\n\n1 2\n\n", "2 4 2\n\n\n1 2\n0 1",
+                                      "# c\n2 4 2\n0 1\n\n\n1 2\n\n\n"])
+    def test_empty_lines_skipped(self, tmp_path, text):
+        path = tmp_path / "e.hg"
+        path.write_text(text)
+        assert read_edge_list(path).edges == ((0, 1), (1, 2))
+
+    def test_count_ignores_empty_lines(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("2 4 3\n\n0 1\n\n1 2\n")
+        with pytest.raises(FormatError) as info:
+            read_edge_list(path)
+        assert str(info.value) == "header promises 3 edges, found 2 lines"
 
     def test_unsorted_edge_line(self, tmp_path):
         path = tmp_path / "bad.hg"
@@ -237,12 +283,74 @@ class TestFileFormat:
             new_hypergraph(n, k, [tuple(map(int, ln.split())) for ln in lines])
         assert str(got.value) == str(want.value) == message
 
-    @given(hypergraphs())
+    def test_negative_edge_count(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("2 4 -1\n")
+        with pytest.raises(FormatError) as info:
+            read_edge_list(path)
+        assert str(info.value) == "malformed header: '2 4 -1'"
+
+    # the per-line rules run line by line (malformed, arity, order, range);
+    # non-canonical tokens are checked after them and duplicates last
+    @pytest.mark.parametrize("body, error, message", [
+        ("1 0\n0 +1\n", FormatError,
+         "unsorted or repeated vertices in edge line: '1 0'"),
+        ("0 +1\n1 0\n", FormatError,
+         "unsorted or repeated vertices in edge line: '1 0'"),
+        ("0 +1\n0 5\n", HypergraphError, "edge (0, 5) has a vertex outside [0, 4)"),
+        ("0 1\n0 1\n0 1 2\n", FormatError,
+         "edge line has 3 vertices, expected 2: '0 1 2'"),
+        ("0 1\n0 1 \n", FormatError, "malformed edge line: '0 1 '"),
+        ("0 01\n0 1\n0 1\n", FormatError,
+         "non-canonical vertex token in edge line: '0 01'"),
+    ], ids=["unsorted-then-noncanonical", "noncanonical-then-unsorted",
+            "noncanonical-then-range", "arity-after-duplicate", "trailing-space",
+            "noncanonical-then-duplicate"])
+    def test_error_precedence(self, tmp_path, body, error, message):
+        path = tmp_path / "bad.hg"
+        path.write_text(f"2 4 {body.count(chr(10))}\n{body}")
+        with pytest.raises(error) as info:
+            read_edge_list(path)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    # mostly lines of k values from -1 to n, sorted or not, some spelled in
+    # a way int() takes but str() does not, among lines of any arity with
+    # tokens that int() takes or refuses
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bulk_check_agrees_with_line_rules(self, data):
+        k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 12))
+        values = st.lists(st.integers(-1, n), min_size=k, max_size=k)
+        spelling = st.sampled_from(["{}"] * 3 + ["-{}", "0{}", "+{}", "{}\t", " {}", "{}\r"])
+        spelt = st.tuples(values.map(sorted), st.lists(spelling, min_size=k, max_size=k))
+        token = st.one_of(st.integers(-1, n).map(str),
+                          st.sampled_from(["-0", "1_0", "", "\u0663"]))
+        line = st.one_of(
+            spelt.map(lambda vs: " ".join(f.format(v) for v, f in zip(*vs))),
+            spelt.map(lambda vs: " ".join(map(str, vs[0]))),
+            values.map(lambda e: " ".join(map(str, e))),
+            st.lists(token, min_size=1, max_size=4).map(" ".join))
+        lines = data.draw(st.lists(line.filter(bool), max_size=5))
+        try:
+            want = _line_checked_edges(lines, k, n)
+        except (FormatError, HypergraphError):
+            want = None
+        assert _bulk_edges("\n".join(lines), k, n, len(lines)) == want
+
+    @given(hypergraphs(k_max=4))
     @settings(max_examples=60, deadline=None)
     def test_every_written_file_reads_back(self, tmp_path_factory, h):
         path = tmp_path_factory.mktemp("rt") / "h.hg"
         write_edge_list(h, path)
         assert read_edge_list(path) == h
+
+    def test_round_trip_large_n(self, tmp_path):
+        h = gen_random(2**15 + 3, 2, 0.1, 0.5, seed=4)
+        path = tmp_path / "h.hg"
+        write_edge_list(h, path)
+        assert read_edge_list(path) == h
+        assert max(e[-1] for e in h.edges) >= 2**15
 
     def test_line_order_is_free(self, tmp_path):
         lines = ["2 4", "0 3", "1 3", "0 1"]
