@@ -11,9 +11,14 @@ Exact routes:
     Otherwise the witness takes one maximum-weight maximum-cardinality
     solve on the gadget: every gadget edge of input edge i weighs
     2^(m-1-i), so among maximum witnesses the earliest kept edge decides.
-  * general uniformity: branch-and-bound over edges in canonical order,
-    include-first, guarded by an edge-count cap (subset maximization with
-    codegree caps has no known general poly-time algorithm).
+    That solve is networkx's blossom algorithm, imported only then.
+    2-uniform fibers come from instances with k >= 3, so a k=2 run, or
+    any run in which no 2-uniform fiber binds, loads no third-party code.
+  * general uniformity: an input that is already delta-bounded is its
+    own unique maximum witness, at any size.  Otherwise branch-and-bound
+    over edges in canonical order, include-first, guarded by an
+    edge-count cap (subset maximization with codegree caps has no known
+    general poly-time algorithm).
 
 Among maximum witnesses the lexicographically least edge subset is
 returned, so downstream construction steps are deterministic functions of
@@ -24,11 +29,17 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-import networkx as nx
-
-from .core import Edge, Hypergraph, codegrees, pow_floor
+from .core import Edge, Hypergraph, codegrees, is_bounded, pow_floor
 
 DEFAULT_EXACT_CAP = 24
+
+
+def __getattr__(name: str):
+    # bounded.nx, imported on first access, for callers that wrap its solver
+    if name == "nx":
+        import networkx
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OracleSizeError(RuntimeError):
@@ -46,6 +57,8 @@ def _bmatching(edges: list[Edge], cap: int, lex: bool) -> list[Edge]:
     deg = codegrees(edges, 1)
     if max(deg.values(), default=0) <= cap:
         return edges
+    import networkx as nx
+
     g = nx.Graph()
     for idx, (u, v) in enumerate(edges):
         # exact: networkx keeps integer weights integral
@@ -116,7 +129,8 @@ def max_bounded_size(hp: Hypergraph, delta: float,
                      exact_cap: int = DEFAULT_EXACT_CAP) -> int:
     """|hp|_delta, the maximum size of a delta-bounded subhypergraph.
 
-    Raises OracleSizeError for uniformity >= 3 beyond the edge cap.
+    Raises OracleSizeError for uniformity >= 3 beyond the edge cap,
+    unless hp is already delta-bounded.
     """
     if hp.k == 2 and hp.edges:
         return len(_bmatching(list(hp.edges), pow_floor(hp.n, delta), lex=False))
@@ -132,6 +146,8 @@ def max_bounded_sub(hp: Hypergraph, delta: float,
     edges = list(hp.edges)
     if hp.k == 2:
         witness = _bmatching(edges, pow_floor(hp.n, delta), lex=True)
+    elif is_bounded(hp, delta):
+        return hp
     elif len(edges) > exact_cap:
         raise OracleSizeError(
             f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")

@@ -232,7 +232,7 @@ def read_edge_list(path) -> Hypergraph:
     found = body.count("\n") + 1 if body else 0
     if found != m:
         raise FormatError(f"header promises {m} edges, found {found} lines")
-    edges = _bulk_edges(body, k, n, m)
+    edges = _bulk_edges(body, k, n)
     if edges is None:
         edges = _line_checked_edges(body.split("\n"), k, n)
     edges.sort()
@@ -245,39 +245,47 @@ def read_edge_list(path) -> Hypergraph:
 
 # after _bulk_edges' character check, a leading 0 follows a space or an LF
 _LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
+# _bulk_edges parses slices of whole lines of about this many bytes, so
+# that no token or int is held for more than one slice at a time
+_CHUNK_BYTES = 1 << 16
 
 
-def _bulk_edges(body: str, k: int, n: int, m: int) -> list[Edge] | None:
-    """The edges of the m lines of body, in file order, or None if
-    _line_checked_edges would reject a line.  Each check runs over the
-    whole body at once, so a rejected body is passed on to name the line."""
-    if not m:
-        return []
+def _bulk_edges(body: str, k: int, n: int) -> list[Edge] | None:
+    """The edges of the lines of body, in file order, or None if
+    _line_checked_edges would reject a line.  Each check runs over a slice
+    of lines at once, so a rejected body is passed on to name the line."""
     if not body.isascii():
         return None
-    raw = body.encode("ascii")
-    # deleting digits and '-' leaves each line's k - 1 spaces and its LF,
-    # and any other character (a '+', a tab, a CR, ...) in its place
-    seps = (b" " * (k - 1) + b"\n") * m
-    if raw.translate(None, b"0123456789-") != seps[:-1]:
-        return None
-    if b"-0" in raw or _LEADING_ZERO.search(b"\n" + raw):
-        return None
-    try:
-        # the same tokens as each line's split(" "), m * k of them
-        vals = list(map(int, raw.replace(b"\n", b" ").split(b" ")))
-    except ValueError:
-        return None
-    del raw
-    cols = [vals[i::k] for i in range(k)]
-    del vals
-    if not all(all(map(lt, c, d)) for c, d in zip(cols, cols[1:])):
-        return None
-    if min(cols[0]) < 0 or max(cols[-1]) >= n:
-        return None
-    # one int object per vertex, shared by its edges
-    vertex: dict[int, int] = {}
-    return list(zip(*(map(vertex.setdefault, c, c) for c in cols)))
+    line_seps = b" " * (k - 1) + b"\n"
+    vertex: dict[int, int] = {}  # one int object per vertex, shared by its edges
+    intern = vertex.setdefault
+    cols: list[list[int]] = [[] for _ in range(k)]
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK_BYTES)
+        if end < 0:
+            end = len(body)
+        raw = body[start:end].encode("ascii")
+        start = end + 1
+        # deleting digits and '-' leaves each line's k - 1 spaces and its LF,
+        # and any other character (a '+', a tab, a CR, ...) in its place
+        if raw.translate(None, b"0123456789-") != (line_seps * (raw.count(b"\n") + 1))[:-1]:
+            return None
+        if b"-0" in raw or _LEADING_ZERO.search(b"\n" + raw):
+            return None
+        try:
+            # the same tokens as each line's split(" ")
+            vals = list(map(int, raw.replace(b"\n", b" ").split(b" ")))
+        except ValueError:
+            return None
+        chunk = [vals[i::k] for i in range(k)]
+        if not all(all(map(lt, c, d)) for c, d in zip(chunk, chunk[1:])):
+            return None
+        if min(chunk[0]) < 0 or max(chunk[-1]) >= n:
+            return None
+        for col, c in zip(cols, chunk):
+            col.extend(map(intern, c, c))
+    return list(zip(*cols))
 
 
 def _line_checked_edges(lines: list[str], k: int, n: int) -> list[Edge]:

@@ -23,6 +23,7 @@ from hypercontainers.core import (
 )
 from hypercontainers.engine import EngineContext, derive_params
 from hypercontainers.instances import gen_random
+from hypercontainers.verify import sample_independent_sets, verify
 
 from conftest import hypergraphs, random_hypergraph
 from reference import brute_force_max_bounded
@@ -53,6 +54,22 @@ class TestExact:
             max_bounded_sub(h, 0.3, exact_cap=24)
         with pytest.raises(OracleSizeError):
             max_bounded_size(h, 0.3, exact_cap=24)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_bounded_input_beyond_the_cap_is_its_own_witness(self, k):
+        # a bounded input needs no search, so the edge cap does not apply
+        # disjoint edges: every cap is at least 1, even at delta = 0
+        edges = [tuple(range(i * k, (i + 1) * k)) for i in range(40 // k)]
+        h = Hypergraph(40, k, tuple(edges))
+        assert len(h) > 3 and is_bounded(h, 0.0)
+        assert max_bounded_sub(h, 0.0, exact_cap=3) is h
+        assert max_bounded_size(h, 0.0, exact_cap=3) == len(h)
+        # one more edge meeting the first puts vertex 1 over its cap 1
+        h = Hypergraph(40, k, tuple(sorted(edges + [tuple(range(1, k + 1))])))
+        assert not is_bounded(h, 0.0)
+        for oracle in (max_bounded_sub, max_bounded_size):
+            with pytest.raises(OracleSizeError):
+                oracle(h, 0.0, exact_cap=3)
 
 
 def _random_graph(rng, n_max=9, m_max=14):
@@ -131,6 +148,24 @@ def test_free_edges_kept_beside_a_hub(monkeypatch):
     assert w == tuple(free + hub[:4])
     assert w == _bnb_max(list(h.edges), _level_caps(h, 0.5))
     assert max_bounded_size(h, 0.5) == len(w)
+
+
+def test_k4_bounded_fibers_beyond_the_cap_run_exact(monkeypatch):
+    # the 3-uniform fibers of this k=4 run exceed the 24-edge cap but are
+    # delta'-bounded, so the run is exact; without the bounded check it
+    # falls back to greedy, which keeps the same edges, and only
+    # oracle_mode differs
+    h = gen_random(60, 4, 0.3, 0.6, 1)
+
+    def report():
+        ctx = EngineContext(h, derive_params(4, 0.7, 0.6, h.n))
+        return verify(ctx, sample_independent_sets(h, 20, 0)).to_text()
+
+    exact = report()
+    monkeypatch.setattr(bounded, "is_bounded", lambda hp, delta: False)
+    heuristic = report()
+    assert "oracle_mode = exact\n" in exact
+    assert exact.replace("oracle_mode = exact\n", "oracle_mode = heuristic\n") == heuristic
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -107,14 +107,27 @@ class TestVerify:
         assert "refused" in capsys.readouterr().err
 
     def test_strict_oracle_cap_exit_3(self, tmp_path, capsys):
+        # at pi = 1, delta' = log_n 2 caps the vertex degrees of a 3-uniform
+        # fiber at 4 and its pair codegrees at 2; the 64-edge fiber refused
+        # here is over those caps, so only a search could find its witness
+        inst = self._gen(tmp_path, "--random", "--n", "256", "--k", "4",
+                         "--delta", "0.25", "--eps", "0.9", "--seed", "1")
+        code = run("verify", "--input", inst, "--pi", "1.0", "--eps", "1.0",
+                   "--mode", "strict", "--samples", "2", "--oracle-cap", "3")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "strict mode refused to run: 64 edges exceeds exact-mode cap 3\n"
+
+    def test_strict_bounded_fibers_beyond_oracle_cap_run(self, tmp_path, capsys):
+        # the fibers here exceed the cap but are already delta'-bounded,
+        # so each is its own witness and strict mode runs exact
         inst = self._gen(tmp_path, "--random", "--n", "1024", "--k", "4",
                          "--delta", "0.1", "--eps", "0.9", "--seed", "1")
         code = run("verify", "--input", inst, "--pi", "0.9", "--eps", "0.9",
                    "--mode", "strict", "--samples", "2", "--oracle-cap", "3")
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "refused" in err and "exact-mode cap 3" in err
-        assert len(err.splitlines()) == 1
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "oracle_mode = exact\n" in out
 
     def test_report_written_to_file(self, tmp_path, capsys):
         inst = self._gen(tmp_path, "--random", "--n", "10", "--k", "2",

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypercontainers.core import (
     ldeg,
     new_hypergraph,
 )
+from hypercontainers import instances
 from hypercontainers.instances import (
     _BLOCK_WORDS,
     FormatError,
@@ -332,11 +334,33 @@ class TestFileFormat:
             values.map(lambda e: " ".join(map(str, e))),
             st.lists(token, min_size=1, max_size=4).map(" ".join))
         lines = data.draw(st.lists(line.filter(bool), max_size=5))
+        # slices of one line each, of a few lines, and of the whole body
+        chunk = data.draw(st.sampled_from([1, 4, instances._CHUNK_BYTES]))
         try:
             want = _line_checked_edges(lines, k, n)
         except (FormatError, HypergraphError):
             want = None
-        assert _bulk_edges("\n".join(lines), k, n, len(lines)) == want
+        with mock.patch.object(instances, "_CHUNK_BYTES", chunk):
+            assert _bulk_edges("\n".join(lines), k, n) == want
+
+    # a file of many slices, with each kind of bad line in the last one
+    @pytest.mark.parametrize("bad, error, message", [
+        ("9 8", FormatError, "unsorted or repeated vertices in edge line: '9 8'"),
+        ("8 +9", FormatError, "non-canonical vertex token in edge line: '8 +9'"),
+        ("8 99999", HypergraphError, "edge (8, 99999) has a vertex outside [0, 99999)"),
+        ("8", FormatError, "edge line has 1 vertices, expected 2: '8'"),
+    ])
+    def test_bad_line_past_the_first_slice(self, tmp_path, bad, error, message):
+        good = [f"{a} {b}" for a in range(400) for b in range(90000, 90100)]
+        assert len("\n".join(good)) > 4 * instances._CHUNK_BYTES
+        path = tmp_path / "bad.hg"
+        path.write_text(f"2 99999 {len(good) + 1}\n" + "\n".join(good + [bad]) + "\n")
+        with pytest.raises(error) as info:
+            read_edge_list(path)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        path.write_text(f"2 99999 {len(good)}\n" + "\n".join(good) + "\n")
+        assert len(read_edge_list(path)) == len(good)
 
     @given(hypergraphs(k_max=4))
     @settings(max_examples=60, deadline=None)
