@@ -83,7 +83,7 @@ def _subsets(e: Edge, caps: dict[int, int]) -> list[tuple[Edge, int]]:
 
 def _admit(counts: dict[Edge, int], subs: list[tuple[Edge, int]]) -> bool:
     """Count an edge in iff none of its subsets is at its cap."""
-    for u, cap in subs:  # a loop, not any(): this is the hot path of gen_random
+    for u, cap in subs:  # a loop, not any(): the hot path of greedy_bounded_sub
         if counts.get(u, 0) >= cap:
             return False
     for u, _cap in subs:

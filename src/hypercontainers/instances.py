@@ -13,7 +13,7 @@ import random
 import re
 from array import array
 from bisect import bisect_left
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from math import comb
 from operator import eq, lt, ne
 from typing import Iterator
@@ -33,33 +33,42 @@ _NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 
 # random.sample's switch for k <= 5: a pool up to this n, a set above
 _SAMPLE_SETSIZE = 21
-# 32-bit words _pair_codes takes from one getrandbits call
+# 32-bit words _pair_codes and _kset_codes take from one getrandbits call
 _BLOCK_WORDS = 4096
 
 
-def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
-    """Endless sorted k-subsets of range(n), identical draw for draw to
-    tuple(sorted(rng.sample(range(n), k))).  Up to sample's pool/set
-    switch (tiny n) they are drawn by sample itself; above it, sample's
-    set branch is replayed with the same rng.getrandbits calls in the same
-    order, without sample's per-call overhead."""
+def _pool_max(k: int) -> int:
+    """The largest n at which random.sample(range(n), k) draws from a
+    shrinking pool; above it sample keeps a set of the values taken."""
     setsize = _SAMPLE_SETSIZE
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        while True:
-            yield tuple(sorted(rng.sample(range(n), k)))
-    else:
-        getrandbits = rng.getrandbits
-        bits = n.bit_length()
-        while True:
-            # redraw while the value is out of range or already taken
-            taken: set[int] = set()
-            while len(taken) < k:
-                r = getrandbits(bits)
-                if r < n:
-                    taken.add(r)
-            yield tuple(sorted(taken))
+    return setsize
+
+
+def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
+    """Endless tuple(sorted(rng.sample(range(n), k))): gen_random's draw
+    for n up to _pool_max(k), where sample's shrinking pool is not
+    replayed."""
+    while True:
+        yield tuple(sorted(rng.sample(range(n), k)))
+
+
+def _code(e: Edge, n: int) -> int:
+    """The int that a sorted k-set e stands as: its vertices as the digits
+    of a base-n number, so codes sort as the tuples do."""
+    c = 0
+    for v in e:
+        c = c * n + v
+    return c
+
+
+def _decode(c: int, n: int, k: int) -> Edge:
+    """The sorted k-set whose _code is c."""
+    e = [0] * k
+    for i in reversed(range(k)):
+        c, e[i] = divmod(c, n)
+    return tuple(e)
 
 
 def _word_block(rng: random.Random) -> array:
@@ -71,13 +80,14 @@ def _word_block(rng: random.Random) -> array:
 
 
 def _pair_codes(rng: random.Random, n: int) -> Iterator[int]:
-    """Endless codes a * n + b of the pairs (a, b) that _ksets(rng, n, 2)
-    yields, for _SAMPLE_SETSIZE < n < 2^32.
+    """Endless codes a * n + b of the pairs (a, b) that
+    tuple(sorted(rng.sample(range(n), 2))) draws, for
+    _SAMPLE_SETSIZE < n < 2^32.
 
-    There _ksets draws getrandbits(bits) with bits = n.bit_length() <= 32,
+    There sample draws getrandbits(bits) with bits = n.bit_length() <= 32,
     which is the next 32-bit Mersenne word shifted right by 32 - bits.  So
     the words are read in blocks (_word_block), and a value out of range
-    or equal to its pair's first is skipped, as _ksets redraws it.  The
+    or equal to its pair's first is skipped, as sample redraws it.  The
     last block is drawn past the last word used, so rng must not be drawn
     from again."""
     shift = 32 - n.bit_length()
@@ -98,17 +108,53 @@ def _pair_codes(rng: random.Random, n: int) -> Iterator[int]:
                         a = -1
 
 
-def _greedy_pairs(n: int, codes: Iterator[int], target: int,
-                  cap: int) -> tuple[Edge, ...]:
-    """greedy_bounded_sub at k = 2 over the first target distinct pairs,
-    taken in sorted order: keep (a, b) iff both a and b are in fewer
-    than cap kept pairs.  A pair a < b comes as the code a * n + b, which
-    sorts as the tuple does; tuples are built for kept pairs only.
+def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
+    """Endless _codes of the k-sets tuple(sorted(rng.sample(range(n), k)))
+    draws, for _pool_max(k) < n < 2^32: _pair_codes' word-block draw for
+    any k.
 
-    The distinct codes are kept in a sorted list, not a set, for memory:
-    the first target codes sorted, without repeats, then while d are
-    missing the next d codes, of which at most d are new, so the list is
-    complete exactly where a set of the codes would reach target."""
+    The in-range values come in draw order; each set takes the next k of
+    them, and if some repeat, the set drops the repeats and takes further
+    values, skipping those it holds, as sample redraws them.  As there,
+    rng must not be drawn from again."""
+    shift = 32 - n.bit_length()
+    limit = n << shift
+    values = chain.from_iterable(iter(
+        lambda: [w >> shift for w in _word_block(rng) if w < limit], None))
+
+    def complete(s: tuple[int, ...]) -> list[int]:
+        taken = list(dict.fromkeys(s))
+        while len(taken) < k:
+            v = next(values)
+            if v not in taken:
+                taken.append(v)
+        return taken
+
+    if k == 3:  # gen_random's k = 3 route: sorted and coded inline
+        for a, b, c in zip(values, values, values):
+            if a == b or a == c or b == c:
+                a, b, c = complete((a, b, c))
+            if a > b:
+                a, b = b, a
+            if c < b:
+                b, c = c, b
+                if b < a:
+                    a, b = b, a
+            yield (a * n + b) * n + c
+    else:
+        for s in zip(*[values] * k):
+            if len(set(s)) < k:
+                s = complete(s)
+            yield _code(sorted(s), n)
+
+
+def _first_distinct(codes: Iterator[int], target: int) -> list[int]:
+    """The first target distinct codes, sorted.
+
+    They are kept in a sorted list, not a set, for memory: the first
+    target codes sorted, without repeats, then while d are missing the
+    next d codes, of which at most d are new, so the list is complete
+    exactly where a set of the codes would reach target."""
     ordered = sorted(islice(codes, target))
     ordered = [*compress(ordered, map(ne, ordered, ordered[1:])), *ordered[-1:]]
     while len(ordered) < target:
@@ -119,6 +165,13 @@ def _greedy_pairs(n: int, codes: Iterator[int], target: int,
                 new.add(c)
         ordered += new
         ordered.sort()
+    return ordered
+
+
+def _greedy_pairs(n: int, ordered: list[int], cap: int) -> tuple[Edge, ...]:
+    """greedy_bounded_sub at k = 2 over the sorted pair codes a * n + b:
+    keep (a, b) iff both a and b are in fewer than cap kept pairs.
+    Tuples are built for kept pairs only."""
     deg = [0] * n
     vertex = list(range(n))  # one int object per vertex, shared by its pairs
     kept = []
@@ -131,6 +184,36 @@ def _greedy_pairs(n: int, codes: Iterator[int], target: int,
     return tuple(kept)
 
 
+def _greedy_triples(n: int, ordered: list[int], cap1: int,
+                    cap2: int) -> tuple[Edge, ...]:
+    """greedy_bounded_sub at k = 3 over the sorted triple codes
+    (a * n + b) * n + c: keep (a, b, c) iff each of its vertices is in
+    fewer than cap1 kept triples and each of its pairs in fewer than cap2.
+    A pair a < b is counted under a * n + b.  Tuples are built for kept
+    triples only."""
+    deg = [0] * n
+    pairs: dict[int, int] = {}
+    count = pairs.get
+    vertex = list(range(n))
+    kept = []
+    for code in ordered:
+        ab, c = divmod(code, n)
+        a, b = divmod(ab, n)
+        if deg[a] < cap1 and deg[b] < cap1 and deg[c] < cap1:
+            ac = a * n + c
+            bc = b * n + c
+            d_ab, d_ac, d_bc = count(ab, 0), count(ac, 0), count(bc, 0)
+            if d_ab < cap2 and d_ac < cap2 and d_bc < cap2:
+                deg[a] += 1
+                deg[b] += 1
+                deg[c] += 1
+                pairs[ab] = d_ab + 1
+                pairs[ac] = d_ac + 1
+                pairs[bc] = d_bc + 1
+                kept.append((vertex[a], vertex[b], vertex[c]))
+    return tuple(kept)
+
+
 def gen_random(n: int, k: int, delta_target: float, eps_target: float,
                seed: int) -> Hypergraph:
     """Random near-homogeneous instance: draw uniform k-sets until
@@ -140,14 +223,19 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
     in a loop on random.Random(seed): _ksets draws tiny instances by
-    sample itself and replays sample's getrandbits calls above its pool
-    switch.  eps_target is not read: the output does not depend on it.
+    sample itself, and above sample's pool switch _pair_codes (k = 2) and
+    _kset_codes (any other k) replay sample's getrandbits calls from
+    blocks of random words.  eps_target is not read: the output does not
+    depend on it.
 
-    At k = 2 the same candidates are kept by the same rule as
-    greedy_bounded_sub's, in the same sorted order, but each is held as
-    one int a * n + b: above the pool switch _pair_codes reads them from
-    blocks of random words, and _greedy_pairs counts degrees in a list,
-    so no tuple or dict key is made for a candidate that is not kept.
+    Each candidate is held as one int, its _code, which sorts as the tuple
+    does, and the distinct ones are kept in a sorted list
+    (_first_distinct).  At k = 2 and k = 3 they are kept by
+    greedy_bounded_sub's rule in the same sorted order, with degrees
+    counted in a list and pair codegrees in a dict keyed by pair codes
+    (_greedy_pairs, _greedy_triples), so no tuple is made for a candidate
+    that is not kept.  At k >= 4 the codes are decoded to tuples and
+    trimmed by greedy_bounded_sub itself.
     """
     check_shape(n, k)
     if n >= 2 ** 32:
@@ -160,19 +248,19 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
     rng = random.Random(seed)
+    if n <= _pool_max(k):
+        codes = (_code(e, n) for e in _ksets(rng, n, k))
+    elif k == 2:
+        codes = _pair_codes(rng, n)
+    else:
+        codes = _kset_codes(rng, n, k)
+    ordered = _first_distinct(codes, target)
     if k == 2:
-        if n > _SAMPLE_SETSIZE:
-            codes = _pair_codes(rng, n)
-        else:
-            codes = (a * n + b for a, b in _ksets(rng, n, 2))
-        kept = _greedy_pairs(n, codes, target, pow_floor(n, delta_target))
-        return Hypergraph(n, k, kept)
-    edges: set[Edge] = set()
-    for e in _ksets(rng, n, k):
-        edges.add(e)
-        if len(edges) == target:
-            break
-    h = Hypergraph(n, k, tuple(sorted(edges)))
+        return Hypergraph(n, k, _greedy_pairs(n, ordered, pow_floor(n, delta_target)))
+    if k == 3:
+        return Hypergraph(n, k, _greedy_triples(
+            n, ordered, pow_floor(n, 2 * delta_target), pow_floor(n, delta_target)))
+    h = Hypergraph(n, k, tuple(_decode(c, n, k) for c in ordered))
     return greedy_bounded_sub(h, delta_target)
 
 

@@ -20,9 +20,12 @@ from hypercontainers.instances import (
     _BLOCK_WORDS,
     FormatError,
     _bulk_edges,
+    _code,
+    _kset_codes,
     _ksets,
     _line_checked_edges,
     _pair_codes,
+    _pool_max,
     _word_block,
     gen_ap,
     gen_random,
@@ -98,16 +101,34 @@ class TestGenRandom:
             gen_random(4, 2, 1.0, 0.5, seed=0)  # 4^2 = 16 > C(4,2) = 6
 
     # random.sample keeps a pool for n <= 21 (k <= 5) and n <= 85 (k = 6..8)
-    # and a set of taken values above; these n straddle both switches
-    @pytest.mark.parametrize("n", [*range(2, 31), 84, 85, 86, 87, 200])
+    # and a set of taken values above; _ksets draws only up to the switch
+    @pytest.mark.parametrize("n", [*range(2, 31), 84, 85])
     def test_ksets_draw_as_sample(self, n):
         for k in range(1, min(n, 8) + 1):
+            if n > _pool_max(k):
+                continue
             for seed in range(3):
                 ours, theirs = random.Random(seed), random.Random(seed)
                 got = list(islice(_ksets(ours, n, k), 50))
                 want = list(islice(sample_ksets(theirs, n, k), 50))
                 assert got == want, (n, k, seed)
                 assert ours.getstate() == theirs.getstate(), (n, k, seed)
+
+    def test_pool_max_is_samples_switch(self):
+        assert [_pool_max(k) for k in range(1, 10)] == [21] * 5 + [85] * 4
+
+    # just above the switch for each k, beside powers of two, and at the
+    # largest bit length
+    @pytest.mark.parametrize("n", [*range(22, 31), 33, 86, 87, 200, 2**31 + 1])
+    def test_kset_codes_draw_as_sample(self, n):
+        for k in (1, 3, 4, 5, 6, 7, 8):
+            if n <= _pool_max(k):
+                continue
+            for seed in range(3):
+                got = list(islice(_kset_codes(random.Random(seed), n, k), 500))
+                want = [_code(e, n) for e in
+                        islice(sample_ksets(random.Random(seed), n, k), 500)]
+                assert got == want, (n, k, seed)
 
     def test_word_block_is_getrandbits_32(self):
         for seed in range(3):
@@ -145,6 +166,26 @@ class TestGenRandom:
         for seed in range(3):
             got = gen_random(n, 2, delta, 0.5, seed).edges
             assert got == gen_random_edges(n, 2, delta, seed), (n, delta, seed)
+
+    # both sides of the pool switch at 21 and of powers of two, wherever
+    # the target ceil(n^(1+2 delta)) is at most C(n, 3)
+    @pytest.mark.parametrize("n, delta", [
+        (n, delta) for n in [21, 22, 31, 32, 33, 63, 64, 65, 200, 256, 257]
+        for delta in (0.0, 0.25, 0.4)
+        if math.ceil(n ** (1 + 2 * delta)) <= math.comb(n, 3)])
+    def test_k3_route_matches_definition(self, n, delta):
+        for seed in range(3):
+            got = gen_random(n, 3, delta, 0.5, seed).edges
+            assert got == gen_random_edges(n, 3, delta, seed), (n, delta, seed)
+
+    # k = 1 and k >= 4 decode the drawn codes for greedy_bounded_sub
+    @pytest.mark.parametrize("n, k", [(21, 1), (22, 1), (21, 4), (22, 4),
+                                      (40, 5), (86, 6)])
+    def test_other_routes_match_definition(self, n, k):
+        for delta in (0.0, 0.2):
+            for seed in range(2):
+                got = gen_random(n, k, delta, 0.5, seed).edges
+                assert got == gen_random_edges(n, k, delta, seed), (n, k, delta, seed)
 
     @pytest.mark.parametrize("args, edges, sha256", [
         ((16384, 2, 0.25, 0.3, 1000), 82571,
