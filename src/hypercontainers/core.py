@@ -13,6 +13,7 @@ from ties.  The convention log 0 = -inf is used throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,7 +97,8 @@ class Hypergraph:
 
     @cached_property
     def incidence(self) -> dict[int, tuple[Edge, ...]]:
-        """vertex -> edges containing it (canonical order)."""
+        """vertex -> edges containing it (canonical order).  The library
+        reads it only at k != 2, through edges_through and degrees."""
         inc: dict[int, list[Edge]] = {}
         for e in self.edges:
             for v in e:
@@ -104,11 +106,44 @@ class Hypergraph:
         return {v: tuple(es) for v, es in inc.items()}
 
     @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """At k = 2, v -> v's neighbours in ascending order, which is the
+        order of the other ends of v's edges in canonical order.  Built
+        instead of incidence, never beside it: both cost about as much
+        memory."""
+        if self.k != 2:
+            raise HypergraphError(f"neighbours needs k = 2, got k={self.k}")
+        nb: list[list[int]] = [[] for _ in range(self.n)]
+        for a, b in self.edges:  # edges ascend, so every list does too
+            nb[a].append(b)
+            nb[b].append(a)
+        return tuple(map(tuple, nb))
+
+    @cached_property
+    def degrees(self) -> list[int]:
+        """deg(v) for every vertex v."""
+        if self.k == 2:
+            return list(map(len, self.neighbours))
+        inc = self.incidence
+        return [len(inc.get(v, ())) for v in range(self.n)]
+
+    def edges_through(self, v: int) -> tuple[Edge, ...]:
+        """The edges containing v, in canonical order (none for a v
+        outside X)."""
+        if self.k != 2:
+            return self.incidence.get(v, ())
+        if not 0 <= v < self.n:
+            return ()
+        nb = self.neighbours[v]
+        i = bisect_left(nb, v)
+        return tuple(zip(nb[:i], repeat(v))) + tuple(zip(repeat(v), nb[i:]))
+
+    @cached_property
     def max_degrees(self) -> tuple[int, ...]:
-        """Delta_ell for ell = 1, ..., k-1: level 1 from the incidence, one
+        """Delta_ell for ell = 1, ..., k-1: level 1 from the degrees, one
         codegree pass for each level above it."""
         return tuple(max(codegrees(self.edges, ell).values(), default=0) if ell > 1
-                     else max(map(len, self.incidence.values()), default=0)
+                     else max(self.degrees, default=0)
                      for ell in range(1, self.k))
 
     @property
@@ -156,7 +191,7 @@ def vertex_fiber(h: Hypergraph, f: Iterable[int]) -> Hypergraph:
         raise HypergraphError("vertex fiber needs k >= 2")
     out: set[Edge] = set()
     for v in set(f):
-        for e in h.incidence.get(v, ()):
+        for e in h.edges_through(v):
             out.add(tuple(x for x in e if x != v))
     return Hypergraph(h.n, h.k - 1, tuple(sorted(out)))
 

@@ -250,7 +250,7 @@ class EngineContext:
         hf = vertex_fiber(h, frozenset(f))
         # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
         marked = hf.edge_set.union(*(nabla(hf, t, p.delta) for t in range(1, h.k - 1)))
-        near = {e for v in hf.covered_vertices() for e in h.incidence[v]}
+        near = {e for v in hf.covered_vertices() for e in h.edges_through(v)}
         return {e for e in near
                 if any(u in marked for t in range(1, h.k) for u in combinations(e, t))}
 
@@ -279,8 +279,7 @@ class EngineContext:
         # deg_H(x) - lost(x), the edges of H^ through x
         lost = Counter(chain.from_iterable(self.h_minus(f0)))
         cap = pow_ceil(h.n, (p.k - 1) * p.delta_p - p.eps_tilde)
-        return frozenset(
-            x for x in h.vertices if len(h.incidence.get(x, ())) - lost[x] < cap)
+        return frozenset(x for x, d in enumerate(h.degrees) if d - lost[x] < cap)
 
 
 def print_union(prnt: Print) -> frozenset[int]:

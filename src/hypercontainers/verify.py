@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import index
 
 from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
 from .engine import EngineError, NotIndependentError, Params, Print, print_union
@@ -71,22 +73,23 @@ def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
 
     Along random.Random(seed)'s shuffle of X, v is taken unless some edge
     through v has all its other vertices taken.  At k = 2 that means
-    unless a neighbour of v is taken, so each taken v blocks the vertices
-    of its edges instead.  Both routes return the same set with the same
+    unless a neighbour of v is taken, so each taken v blocks its
+    neighbours instead.  Both routes return the same set with the same
     iteration order: that of an add-only set filled in draw order.
     """
     order = _shuffled(h.n, random.Random(seed))
     taken: set[int] = set()
     if h.k == 2:
+        nb = h.neighbours
         blocked: set[int] = set()
         for v in order:
             if v not in blocked:
                 taken.add(v)
-                blocked.update(*h.incidence.get(v, ()))
+                blocked.update(nb[v])
         return frozenset(taken)
     for v in order:
         taken.add(v)
-        if any(map(taken.issuperset, h.incidence.get(v, ()))):
+        if any(map(taken.issuperset, h.edges_through(v))):
             taken.discard(v)
     # sample_independent_sets subsamples in iteration order, which for ints
     # depends on insertion history: rebuild add-only, in draw order
@@ -184,8 +187,9 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     The sets, each any iterable of vertices, are consumed once, in
     order, and only the distinct prints and their containers are kept;
     container_of is asked once per distinct print.
-    A set with a vertex outside X raises ValueError, and one that
-    contains an edge NotIndependentError, when the loop reaches it.
+    A set with a vertex that is not an integer or is outside X raises
+    ValueError, and one that contains an edge NotIndependentError, when
+    the loop reaches it.
     jobs accepts only 1.
     """
     if jobs != 1:
@@ -197,13 +201,20 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     iii_counter = ""
     print_containers: dict[Print, frozenset[int]] = {}
     for iset in sets:
-        iset = frozenset(iset)
+        try:
+            iset = frozenset(map(index, iset))
+        except TypeError as exc:
+            raise ValueError(f"supplied set has a vertex that is not an integer: {exc}") from exc
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
                              f"outside [0, {h.n})")
-        e = next(filter(iset.issuperset, h.edges), None)
-        if e is not None:
-            raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
+        if not (h.k == 2 and iset.isdisjoint(
+                chain.from_iterable(map(h.neighbours.__getitem__, iset)))):
+            # the scan names the least edge inside; at k = 2 it runs only
+            # when the neighbour test has found one
+            e = next(filter(iset.issuperset, h.edges), None)
+            if e is not None:
+                raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
         samples += 1
         try:
             prnt = ctx.print_of(iset)

@@ -166,7 +166,7 @@ class TestDegrees:
                                          (3, [(0, 1, 2), (0, 1, 3), (2, 4, 5)]),
                                          (4, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5)])])
     def test_report_predicates_count_each_level_once(self, monkeypatch, k, edges):
-        # level 1 is read off the incidence; levels 2..k-1 take one pass each
+        # level 1 is read off the degrees; levels 2..k-1 take one pass each
         calls = []
         count = core.codegrees
         monkeypatch.setattr(core, "codegrees",
@@ -185,6 +185,18 @@ class TestDegrees:
     def test_max_degrees_match_reference(self, h):
         assert h.max_degrees == tuple(max(reference.codegrees(h.edges, ell).values(), default=0)
                                       for ell in range(1, h.k))
+        # the per-vertex index against the incidence it stands in for
+        assert len(h.degrees) == h.n
+        for v in h.vertices:
+            inc = h.incidence.get(v, ())
+            assert h.degrees[v] == len(inc)
+            assert h.edges_through(v) == inc
+            if h.k == 2:
+                assert h.neighbours[v] == tuple(u for e in inc for u in e if u != v)
+        assert h.edges_through(-1) == h.edges_through(h.n) == ()
+        if h.k != 2:
+            with pytest.raises(HypergraphError, match="neighbours needs k = 2"):
+                h.neighbours
 
 
 class TestSection:

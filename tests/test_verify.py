@@ -191,6 +191,45 @@ class TestVerify:
                            match=re.escape("supplied set {1,2,3,4} contains edge (1, 2)")):
             verify(ctx, [frozenset({4, 3, 2, 1})])
 
+    def test_k2_recheck_accepts_exactly_the_independent_sets(self):
+        # the neighbour test decides, and the edge scan names the least
+        # edge inside, as the definition does
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 14))]
+            h = new_hypergraph(n, 2, pairs)
+            ctx = EngineContext(h, derive_params(2, 0.7, 0.6, n))
+            sets = [frozenset(v for v in range(n) if rng.random() < p)
+                    for p in (0.1, 0.3, 0.5, 0.8)]
+            if h.edges:
+                # the only edge inside is the last in canonical order
+                last = h.edges[-1]
+                sets.append(frozenset(last) | {v for v in range(n)
+                                               if v not in last and not h.degrees[v]})
+            for s in sets:
+                inside = [e for e in h.edges if set(e) <= s]
+                if not inside:
+                    assert verify(ctx, [s]).samples == 1
+                    continue
+                with pytest.raises(NotIndependentError) as err:
+                    verify(ctx, [s])
+                assert str(err.value) == (f"supplied set {{{','.join(map(str, sorted(s)))}}} "
+                                          f"contains edge {inside[0]}")
+
+    def test_k2_run_never_builds_the_incidence(self):
+        # at k = 2 the neighbour index serves the draw, the re-check, the
+        # degrees and H^-; building incidence beside it would cost its
+        # memory a second time
+        h = gen_random(4096, 2, 0.25, 0.3, seed=3)
+        ctx = EngineContext(h, derive_params(2, 0.75, 0.3, h.n))
+        singles = [{v} for v, d in enumerate(h.degrees) if d == 1][:4]
+        rep = verify(ctx, [*sample_independent_sets(h, 4, seed=3), *singles])
+        rep.to_text()
+        assert rep.samples == 4 + len(singles) and rep.diag_nonexpanding_prints > 0
+        assert "neighbours" in h.__dict__
+        assert "incidence" not in h.__dict__
+
     def test_quarter_bound_tie_holds(self):
         # |X \ C| = 4 = 1024^0.4 / 4 exactly, where a float quarter of
         # n^(1-eps) reads 4.000000000000001
@@ -213,7 +252,9 @@ class TestVerify:
     @pytest.mark.parametrize("bad, text", [
         (frozenset({5, 12}), "supplied set {5,12} has a vertex outside [0, 10)"),
         (frozenset({-1, 3}), "supplied set {-1,3} has a vertex outside [0, 10)"),
-    ], ids=["above_n", "negative"])
+        (frozenset({1.0, 4}), "supplied set has a vertex that is not an integer: "
+                              "'float' object cannot be interpreted as an integer"),
+    ], ids=["above_n", "negative", "float"])
     def test_rejects_vertex_outside_x(self, bad, text):
         h = new_hypergraph(10, 2, [(0, 1), (2, 3)])
         ctx = EngineContext(h, derive_params(2, 0.7, 0.6, 10))
