@@ -36,6 +36,7 @@ from .core import (
     LOG_TOL,
     Edge,
     Hypergraph,
+    HypergraphError,
     check_shape,
     cmp_log,
     log_size,
@@ -93,6 +94,10 @@ class Params:
 
 def derive_params(k: int, pi: float, eps: float, n: int) -> Params:
     check_shape(n, k)
+    try:
+        pow3 = 3.0 ** (k - 1)
+    except OverflowError:
+        raise HypergraphError(f"need 3^(k-1) to fit a float, got k = {k}") from None
     log2 = math.log(2) / math.log(n)
     delta = 1.0 - pi
     delta_p = delta + log2
@@ -102,7 +107,7 @@ def derive_params(k: int, pi: float, eps: float, n: int) -> Params:
         pi=pi,
         eps=eps,
         delta=delta,
-        sigma=3.0 ** (k - 1) * eps,
+        sigma=pow3 * eps,
         log2=log2,
         delta_p=delta_p,
         pi_p=1.0 - delta_p,

@@ -33,7 +33,7 @@ _NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 
 # random.sample's switch for k <= 5: a pool up to this n, a set above
 _SAMPLE_SETSIZE = 21
-# 32-bit words _pair_codes and _kset_codes take from one getrandbits call
+# 32-bit words _kset_codes takes from one getrandbits call
 _BLOCK_WORDS = 4096
 
 
@@ -44,14 +44,6 @@ def _pool_max(k: int) -> int:
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     return setsize
-
-
-def _ksets(rng: random.Random, n: int, k: int) -> Iterator[Edge]:
-    """Endless tuple(sorted(rng.sample(range(n), k))): gen_random's draw
-    for n up to _pool_max(k), where sample's shrinking pool is not
-    replayed."""
-    while True:
-        yield tuple(sorted(rng.sample(range(n), k)))
 
 
 def _code(e: Edge, n: int) -> int:
@@ -79,44 +71,22 @@ def _word_block(rng: random.Random) -> array:
     return array("I", rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little"))
 
 
-def _pair_codes(rng: random.Random, n: int) -> Iterator[int]:
-    """Endless codes a * n + b of the pairs (a, b) that
-    tuple(sorted(rng.sample(range(n), 2))) draws, for
-    _SAMPLE_SETSIZE < n < 2^32.
-
-    There sample draws getrandbits(bits) with bits = n.bit_length() <= 32,
-    which is the next 32-bit Mersenne word shifted right by 32 - bits.  So
-    the words are read in blocks (_word_block), and a value out of range
-    or equal to its pair's first is skipped, as sample redraws it.  The
-    last block is drawn past the last word used, so rng must not be drawn
-    from again."""
-    shift = 32 - n.bit_length()
-    limit = n << shift  # w >> shift < n iff w < limit
-    a = -1  # the pair's first value, once drawn
-    while True:
-        for w in _word_block(rng):
-            if w < limit:
-                if a < 0:
-                    a = w >> shift
-                else:
-                    b = w >> shift
-                    if a < b:
-                        yield a * n + b
-                        a = -1
-                    elif b < a:
-                        yield b * n + a
-                        a = -1
-
-
 def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
     """Endless _codes of the k-sets tuple(sorted(rng.sample(range(n), k)))
-    draws, for _pool_max(k) < n < 2^32: _pair_codes' word-block draw for
-    any k.
+    draws, for n < 2^32.
 
-    The in-range values come in draw order; each set takes the next k of
-    them, and if some repeat, the set drops the repeats and takes further
-    values, skipping those it holds, as sample redraws them.  As there,
-    rng must not be drawn from again."""
+    Up to _pool_max(k), where sample draws from a shrinking pool, the
+    sets are sample's own.  Above it sample draws getrandbits(bits) with
+    bits = n.bit_length() <= 32, which is the next 32-bit Mersenne word
+    shifted right by 32 - bits, so the words are read in blocks
+    (_word_block) and those out of range skipped.  The in-range values
+    come in draw order; each set takes the next k of them, and if some
+    repeat, the set drops the repeats and takes further values, skipping
+    those it holds, as sample redraws them.  The last block is drawn past
+    the last word used, so rng must not be drawn from again."""
+    if n <= _pool_max(k):
+        while True:
+            yield _code(sorted(rng.sample(range(n), k)), n)
     shift = 32 - n.bit_length()
     limit = n << shift
     values = chain.from_iterable(iter(
@@ -130,7 +100,12 @@ def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
                 taken.append(v)
         return taken
 
-    if k == 3:  # gen_random's k = 3 route: sorted and coded inline
+    if k == 2:  # the k = 2 and k = 3 routes: sorted and coded inline
+        for a, b in zip(values, values):
+            if a == b:
+                a, b = complete((a, b))
+            yield a * n + b if a < b else b * n + a
+    elif k == 3:
         for a, b, c in zip(values, values, values):
             if a == b or a == c or b == c:
                 a, b, c = complete((a, b, c))
@@ -222,39 +197,32 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
     be below 2^32.
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
-    in a loop on random.Random(seed): _ksets draws tiny instances by
-    sample itself, and above sample's pool switch _pair_codes (k = 2) and
-    _kset_codes (any other k) replay sample's getrandbits calls from
-    blocks of random words.  eps_target is not read: the output does not
-    depend on it.
-
-    Each candidate is held as one int, its _code, which sorts as the tuple
-    does, and the distinct ones are kept in a sorted list
+    in a loop on random.Random(seed), each held as its _code
+    (_kset_codes), and the distinct ones are kept in a sorted list
     (_first_distinct).  At k = 2 and k = 3 they are kept by
     greedy_bounded_sub's rule in the same sorted order, with degrees
     counted in a list and pair codegrees in a dict keyed by pair codes
     (_greedy_pairs, _greedy_triples), so no tuple is made for a candidate
-    that is not kept.  At k >= 4 the codes are decoded to tuples and
-    trimmed by greedy_bounded_sub itself.
+    that is not kept.  At k = 1 and k >= 4 the codes are decoded to
+    tuples and trimmed by greedy_bounded_sub itself.  eps_target is not
+    read: the output does not depend on it.
     """
     check_shape(n, k)
     if n >= 2 ** 32:
         # the word draw needs n.bit_length() <= 32; the >= n candidates
         # would not fit in memory anyway
         raise HypergraphError(f"need n < 2^32, got {n}")
-    target = math.ceil(n ** (1 + (k - 1) * delta_target))
+    exponent = 1 + (k - 1) * delta_target
+    try:
+        target = math.ceil(n ** exponent)
+    except OverflowError:
+        raise HypergraphError(
+            f"target edge count {n}^{exponent:g} is too large") from None
     total = comb(n, k)
     if target > total:
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
-    rng = random.Random(seed)
-    if n <= _pool_max(k):
-        codes = (_code(e, n) for e in _ksets(rng, n, k))
-    elif k == 2:
-        codes = _pair_codes(rng, n)
-    else:
-        codes = _kset_codes(rng, n, k)
-    ordered = _first_distinct(codes, target)
+    ordered = _first_distinct(_kset_codes(random.Random(seed), n, k), target)
     if k == 2:
         return Hypergraph(n, k, _greedy_pairs(n, ordered, pow_floor(n, delta_target)))
     if k == 3:

@@ -36,9 +36,14 @@ class TestGen:
 
     def test_random_n_too_large(self, tmp_path, capsys):
         out = tmp_path / "x.hg"
-        assert run("gen", "--random", "--n", str(2**32), "--k", "2", "-o", str(out)) == 2
-        assert capsys.readouterr().err == "error: need n < 2^32, got 4294967296\n"
-        assert not out.exists()
+        for args, err in [
+                (("--n", str(2**32), "--k", "2"), "need n < 2^32, got 4294967296"),
+                # n^(1 + (k-1) delta) overflows a float
+                (("--n", "100000", "--k", "80", "--delta", "1"),
+                 "target edge count 100000^80 is too large")]:
+            assert run("gen", "--random", *args, "-o", str(out)) == 2
+            assert capsys.readouterr().err == f"error: {err}\n"
+            assert not out.exists()
 
 
 class TestParams:
@@ -64,6 +69,12 @@ class TestParams:
     def test_eps_out_of_range(self, capsys):
         assert run("params", "--k", "2", "--pi", "0.5", "--eps", "1.5",
                    "--n", "64") == 2
+        capsys.readouterr()
+        # sigma = 3^(k-1) eps overflows a float from k = 648
+        assert run("params", "--k", "1000", "--pi", "0.5", "--eps", "0.5",
+                   "--n", "100") == 2
+        assert capsys.readouterr().err == (
+            "error: need 3^(k-1) to fit a float, got k = 1000\n")
 
 
 class TestVerify:
@@ -168,6 +179,11 @@ class TestDemoAp:
     def test_validation(self, capsys):
         assert run("demo-ap", "--n", "2", "--k", "3", "--pi", "0.5",
                    "--eps", "0.5") == 2
+        capsys.readouterr()
+        assert run("demo-ap", "--n", "700", "--k", "700", "--pi", "0.5",
+                   "--eps", "0.5") == 2
+        assert capsys.readouterr().err == (
+            "error: need 3^(k-1) to fit a float, got k = 700\n")
 
     def test_report_determinism(self, tmp_path, capsys):
         outs = []

@@ -22,9 +22,7 @@ from hypercontainers.instances import (
     _bulk_edges,
     _code,
     _kset_codes,
-    _ksets,
     _line_checked_edges,
-    _pair_codes,
     _pool_max,
     _word_block,
     gen_ap,
@@ -101,7 +99,8 @@ class TestGenRandom:
             gen_random(4, 2, 1.0, 0.5, seed=0)  # 4^2 = 16 > C(4,2) = 6
 
     # random.sample keeps a pool for n <= 21 (k <= 5) and n <= 85 (k = 6..8)
-    # and a set of taken values above; _ksets draws only up to the switch
+    # and a set of taken values above; up to the switch _kset_codes calls
+    # sample itself, so it leaves rng where sample does
     @pytest.mark.parametrize("n", [*range(2, 31), 84, 85])
     def test_ksets_draw_as_sample(self, n):
         for k in range(1, min(n, 8) + 1):
@@ -109,25 +108,27 @@ class TestGenRandom:
                 continue
             for seed in range(3):
                 ours, theirs = random.Random(seed), random.Random(seed)
-                got = list(islice(_ksets(ours, n, k), 50))
-                want = list(islice(sample_ksets(theirs, n, k), 50))
+                got = list(islice(_kset_codes(ours, n, k), 50))
+                want = [_code(e, n) for e in islice(sample_ksets(theirs, n, k), 50)]
                 assert got == want, (n, k, seed)
                 assert ours.getstate() == theirs.getstate(), (n, k, seed)
 
     def test_pool_max_is_samples_switch(self):
         assert [_pool_max(k) for k in range(1, 10)] == [21] * 5 + [85] * 4
 
-    # just above the switch for each k, beside powers of two, and at the
-    # largest bit length
-    @pytest.mark.parametrize("n", [*range(22, 31), 33, 86, 87, 200, 2**31 + 1])
+    # just above the switch for each k, at and beside powers of two, and
+    # at the largest bit lengths: n.bit_length() from 5 to 32
+    @pytest.mark.parametrize("n", [*range(22, 34), 86, 87, 200, 2**15 - 1, 2**15,
+                                   2**15 + 1, 2**31, 2**31 + 1, 2**32 - 1])
     def test_kset_codes_draw_as_sample(self, n):
-        for k in (1, 3, 4, 5, 6, 7, 8):
+        for k in range(1, 9):
             if n <= _pool_max(k):
                 continue
+            draws = 2000 if k == 2 else 500
             for seed in range(3):
-                got = list(islice(_kset_codes(random.Random(seed), n, k), 500))
+                got = list(islice(_kset_codes(random.Random(seed), n, k), draws))
                 want = [_code(e, n) for e in
-                        islice(sample_ksets(random.Random(seed), n, k), 500)]
+                        islice(sample_ksets(random.Random(seed), n, k), draws)]
                 assert got == want, (n, k, seed)
 
     def test_word_block_is_getrandbits_32(self):
@@ -139,16 +140,6 @@ class TestGenRandom:
                 assert list(block) == [theirs.getrandbits(32)
                                        for _ in range(_BLOCK_WORDS)], seed
             assert ours.getstate() == theirs.getstate(), seed
-
-    # n.bit_length() from 5 to 32, at and beside powers of two
-    @pytest.mark.parametrize("n", [22, 31, 32, 33, 2**15, 2**15 + 1, 2**31 + 1,
-                                   2**32 - 1])
-    def test_pair_codes_draw_as_sample(self, n):
-        for seed in range(2):
-            got = list(islice(_pair_codes(random.Random(seed), n), 2000))
-            want = [a * n + b for a, b in
-                    islice(sample_ksets(random.Random(seed), n, 2), 2000)]
-            assert got == want, (n, seed)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_n_at_least_2_to_32(self, k):
@@ -196,6 +187,8 @@ class TestGenRandom:
          "074b00dd64e1b123718c31d282d17949b0c099e21097369467a1cf7677ebef07"),
         ((12, 2, 0.3, 0.6, 1), 10,  # the same, at k = 2
          "47a67ab78addd1d3e2bbf09b1bf08199477812d26f2457d319817299f1028438"),
+        ((60, 4, 0.3, 0.6, 1), 539,  # k >= 4 above the switch
+         "0dbef9eaf2737ad586c3e99bbbd0fed636d0f2014e0c048187511d5c90933241"),
     ])
     def test_instance_bytes_pinned(self, tmp_path, args, edges, sha256):
         h = gen_random(*args)
