@@ -131,6 +131,17 @@ class TestGenRandom:
                         islice(sample_ksets(random.Random(seed), n, k), draws)]
                 assert got == want, (n, k, seed)
 
+    # the k=2 branch of _kset_codes as pairs: n.bit_length() from 5 to 32,
+    # at and beside powers of two
+    @pytest.mark.parametrize("n", [22, 31, 32, 33, 2**15, 2**15 + 1, 2**31 + 1,
+                                   2**32 - 1])
+    def test_pair_codes_draw_as_sample(self, n):
+        for seed in range(2):
+            got = list(islice(_kset_codes(random.Random(seed), n, 2), 2000))
+            want = [a * n + b for a, b in
+                    islice(sample_ksets(random.Random(seed), n, 2), 2000)]
+            assert got == want, (n, seed)
+
     def test_word_block_is_getrandbits_32(self):
         for seed in range(3):
             ours, theirs = random.Random(seed), random.Random(seed)
