@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--delta", type=_unit_interval("delta"), default=0.3,
                        help="boundedness target for --random (default 0.3)")
-    p_gen.add_argument("--eps", type=_unit_interval("eps"), default=0.6,
-                       help="unused: --random output does not depend on it")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", "-o", required=True)
 
@@ -132,7 +130,7 @@ def main(argv=None) -> int:
             if args.ap:
                 h = gen_ap(args.n, args.k)
             else:
-                h = gen_random(args.n, args.k, args.delta, args.eps, args.seed)
+                h = gen_random(args.n, args.k, args.delta, None, args.seed)
             write_edge_list(h, args.output)
             return EXIT_OK
 

@@ -96,14 +96,14 @@ class Hypergraph:
         return frozenset(self.edges)
 
     @cached_property
-    def incidence(self) -> dict[int, tuple[Edge, ...]]:
-        """vertex -> edges containing it (canonical order).  The library
+    def incidence(self) -> tuple[tuple[Edge, ...], ...]:
+        """v -> the edges containing v, in canonical order.  The library
         reads it only at k != 2, through edges_through and degrees."""
-        inc: dict[int, list[Edge]] = {}
+        inc: list[list[Edge]] = [[] for _ in range(self.n)]
         for e in self.edges:
             for v in e:
-                inc.setdefault(v, []).append(e)
-        return {v: tuple(es) for v, es in inc.items()}
+                inc[v].append(e)
+        return tuple(map(tuple, inc))
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -122,18 +122,15 @@ class Hypergraph:
     @cached_property
     def degrees(self) -> list[int]:
         """deg(v) for every vertex v."""
-        if self.k == 2:
-            return list(map(len, self.neighbours))
-        inc = self.incidence
-        return [len(inc.get(v, ())) for v in range(self.n)]
+        return list(map(len, self.neighbours if self.k == 2 else self.incidence))
 
     def edges_through(self, v: int) -> tuple[Edge, ...]:
         """The edges containing v, in canonical order (none for a v
         outside X)."""
-        if self.k != 2:
-            return self.incidence.get(v, ())
         if not 0 <= v < self.n:
             return ()
+        if self.k != 2:
+            return self.incidence[v]
         nb = self.neighbours[v]
         i = bisect_left(nb, v)
         return tuple(zip(nb[:i], repeat(v))) + tuple(zip(repeat(v), nb[i:]))

@@ -16,7 +16,7 @@ minus the edges of H^ through x; H^- itself is never built.
 
 Both print_of and container_of are pure functions of (hypergraph,
 parameters, mode): every choice point is resolved by canonical vertex or
-edge order, and the G_F witnesses are memoized by fingerprint.
+edge order, and the child contexts on the G_F are memoized by fingerprint.
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ class EngineContext:
         self.oracle_cap = oracle_cap
         self._fell_back = False
         self._fiber_size: dict[Fingerprint, int] = {}
-        self._gf: dict[Fingerprint, tuple[Hypergraph, "EngineContext"]] = {}
+        self._children: dict[Fingerprint, EngineContext] = {}
 
     # -- oracle plumbing ---------------------------------------------------
 
@@ -154,7 +154,7 @@ class EngineContext:
         """Whether this context or any context below it used the greedy
         fallback."""
         return self._fell_back or any(
-            child.heuristic_used for _gf, child in self._gf.values())
+            child.heuristic_used for child in self._children.values())
 
     def _oracle(self, exact, f: Fingerprint, from_greedy):
         """exact(H_F) for the fingerprint F.  Beyond the oracle cap, strict
@@ -199,21 +199,21 @@ class EngineContext:
 
     # -- recursion ---------------------------------------------------------
 
-    def child_for(self, f) -> tuple[Hypergraph, "EngineContext"]:
-        """The homogeneous witness G_F and its recursive context."""
+    def child_for(self, f) -> EngineContext:
+        """The recursive context of an expanding fingerprint F.  Its h is
+        the homogeneous witness G_F."""
         fs = frozenset(f)
-        hit = self._gf.get(fs)
+        hit = self._children.get(fs)
         if hit is not None:
             return hit
         if not self.fingerprint_expanding(fs):
             raise EngineError(f"fingerprint {sorted(fs)} is not expanding")
         p = self.params
         gf = self._oracle(max_bounded_sub, fs, lambda g: g)
-        child = EngineContext(gf, derive_params(p.k - 1, p.pi_p, p.eps_p, p.n),
-                              mode=self.mode, oracle_cap=self.oracle_cap)
-        pair = (gf, child)
-        self._gf[fs] = pair
-        return pair
+        child = self._children[fs] = EngineContext(
+            gf, derive_params(p.k - 1, p.pi_p, p.eps_p, p.n),
+            mode=self.mode, oracle_cap=self.oracle_cap)
+        return child
 
     # -- the print relation ------------------------------------------------
 
@@ -240,8 +240,7 @@ class EngineContext:
                         break
             if not grown:
                 return (f,)
-        _gf, child = self.child_for(f)
-        return (f,) + child.print_of(iset)
+        return (f,) + self.child_for(f).print_of(iset)
 
     # -- the container relation --------------------------------------------
 
@@ -275,8 +274,7 @@ class EngineContext:
             raise PrintDomainError("empty print is outside the domain at k >= 2")
         f0 = prnt[0]
         if self.fingerprint_expanding(f0):
-            _gf, child = self.child_for(f0)
-            return child.container_of(prnt[1:])
+            return self.child_for(f0).container_of(prnt[1:])
         if len(prnt) > 1:
             raise PrintDomainError(
                 "non-expanding first fingerprint with a non-trivial tail")

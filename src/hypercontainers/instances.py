@@ -35,6 +35,9 @@ _NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 _SAMPLE_SETSIZE = 21
 # 32-bit words _kset_codes takes from one getrandbits call
 _BLOCK_WORDS = 4096
+# gen_random draws at most 2^this many candidates: far above any instance
+# in use, and below a target whose candidates would exhaust memory
+_TARGET_BITS = 31
 
 
 def _pool_max(k: int) -> int:
@@ -189,12 +192,12 @@ def _greedy_triples(n: int, ordered: list[int], cap1: int,
     return tuple(kept)
 
 
-def gen_random(n: int, k: int, delta_target: float, eps_target: float,
+def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
                seed: int) -> Hypergraph:
     """Random near-homogeneous instance: draw uniform k-sets until
     ceil(n^(1+(k-1)delta)) distinct candidates, then trim greedily to a
     delta_target-bounded subhypergraph.  Deterministic per seed.  n must
-    be below 2^32.
+    be below 2^32, and the candidate count at most 2^31.
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
     in a loop on random.Random(seed), each held as its _code
@@ -213,11 +216,10 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float,
         # would not fit in memory anyway
         raise HypergraphError(f"need n < 2^32, got {n}")
     exponent = 1 + (k - 1) * delta_target
-    try:
-        target = math.ceil(n ** exponent)
-    except OverflowError:
+    if exponent * math.log2(n) > _TARGET_BITS:
         raise HypergraphError(
-            f"target edge count {n}^{exponent:g} is too large") from None
+            f"target edge count {n}^{exponent:g} is above 2^{_TARGET_BITS}")
+    target = math.ceil(n ** exponent)
     total = comb(n, k)
     if target > total:
         raise HypergraphError(

@@ -58,8 +58,7 @@ def degree(h: Hypergraph, u: Iterable[int]) -> int:
     if u[0] < 0 or u[-1] >= h.n:
         raise HypergraphError(f"vertex set {u} outside [0, {h.n})")
     us = set(u)
-    anchor = h.incidence.get(u[0], ())
-    return sum(1 for e in anchor if us.issubset(e))
+    return sum(1 for e in h.edges if us.issubset(e))
 
 
 def section(h: Hypergraph, us: Iterable[Iterable[int]],

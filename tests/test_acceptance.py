@@ -210,7 +210,7 @@ def test_criterion_08_scale_smoke(tmp_path, capsys):
     start = time.monotonic()
     inst = tmp_path / "big.hg"
     assert cli_main(["gen", "--random", "--n", "4096", "--k", "2",
-                     "--delta", "0.25", "--eps", "0.6", "--seed", "3",
+                     "--delta", "0.25", "--seed", "3",
                      "-o", str(inst)]) == 0
     reports = []
     for name in ("r1.txt", "r2.txt"):

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import pytest
 
+from hypercontainers import instances
 from hypercontainers.cli import main
 from hypercontainers.engine import Params
 
@@ -16,13 +17,16 @@ class TestGen:
         assert run("gen", "--ap", "--n", "101", "--k", "3", "-o", str(out)) == 0
         assert out.read_text().splitlines()[0] == "3 101 2500"
 
-    def test_random_deterministic(self, tmp_path):
+    def test_random_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.hg", tmp_path / "b.hg"
         args = ["gen", "--random", "--n", "12", "--k", "2", "--delta", "0.3",
-                "--eps", "0.6", "--seed", "1"]
+                "--seed", "1"]
         assert run(*args, "-o", str(a)) == 0
         assert run(*args, "-o", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+        # the output never depended on eps, so gen takes no --eps
+        assert run(*args, "--eps", "0.6", "-o", str(a)) == 2
+        assert "unrecognized arguments: --eps 0.6" in capsys.readouterr().err
 
     def test_ap_k_too_small(self, tmp_path, capsys):
         out = tmp_path / "x.hg"
@@ -34,13 +38,21 @@ class TestGen:
         assert run("gen", "--random", "--n", "1", "--k", "2", "-o", str(out)) == 2
         assert capsys.readouterr().err == "error: need n >= 2, got 1\n"
 
-    def test_random_n_too_large(self, tmp_path, capsys):
+    def test_random_n_too_large(self, tmp_path, capsys, monkeypatch):
+        # each is refused before any candidate is drawn: the last asks for
+        # about 10^14 of them, which would exhaust memory
+        monkeypatch.setattr(instances, "_kset_codes", None)
         out = tmp_path / "x.hg"
         for args, err in [
                 (("--n", str(2**32), "--k", "2"), "need n < 2^32, got 4294967296"),
                 # n^(1 + (k-1) delta) overflows a float
                 (("--n", "100000", "--k", "80", "--delta", "1"),
-                 "target edge count 100000^80 is too large")]:
+                 "target edge count 100000^80 is above 2^31"),
+                # beyond sys.maxsize, and below C(n, k)
+                (("--n", "100000", "--k", "60", "--delta", "0.5"),
+                 "target edge count 100000^30.5 is above 2^31"),
+                (("--n", "100000", "--k", "3", "--delta", "0.9", "--seed", "1"),
+                 "target edge count 100000^2.8 is above 2^31")]:
             assert run("gen", "--random", *args, "-o", str(out)) == 2
             assert capsys.readouterr().err == f"error: {err}\n"
             assert not out.exists()
@@ -102,7 +114,7 @@ class TestVerify:
 
     def test_k2_permissive_enumeration(self, tmp_path, capsys):
         inst = self._gen(tmp_path, "--random", "--n", "12", "--k", "2",
-                         "--delta", "0.3", "--eps", "0.6", "--seed", "1")
+                         "--delta", "0.3", "--seed", "1")
         code = run("verify", "--input", inst, "--pi", "0.7", "--eps", "0.6")
         out = capsys.readouterr().out
         assert "cond_iii = true" in out
@@ -111,7 +123,7 @@ class TestVerify:
 
     def test_strict_refusal_exit_3(self, tmp_path, capsys):
         inst = self._gen(tmp_path, "--random", "--n", "12", "--k", "2",
-                         "--delta", "0.3", "--eps", "0.1", "--seed", "1")
+                         "--delta", "0.3", "--seed", "1")
         code = run("verify", "--input", inst, "--pi", "0.7", "--eps", "0.1",
                    "--mode", "strict")
         assert code == 3
@@ -122,7 +134,7 @@ class TestVerify:
         # fiber at 4 and its pair codegrees at 2; the 64-edge fiber refused
         # here is over those caps, so only a search could find its witness
         inst = self._gen(tmp_path, "--random", "--n", "256", "--k", "4",
-                         "--delta", "0.25", "--eps", "0.9", "--seed", "1")
+                         "--delta", "0.25", "--seed", "1")
         code = run("verify", "--input", inst, "--pi", "1.0", "--eps", "1.0",
                    "--mode", "strict", "--samples", "2", "--oracle-cap", "3")
         assert code == 3
@@ -133,7 +145,7 @@ class TestVerify:
         # the fibers here exceed the cap but are already delta'-bounded,
         # so each is its own witness and strict mode runs exact
         inst = self._gen(tmp_path, "--random", "--n", "1024", "--k", "4",
-                         "--delta", "0.1", "--eps", "0.9", "--seed", "1")
+                         "--delta", "0.1", "--seed", "1")
         code = run("verify", "--input", inst, "--pi", "0.9", "--eps", "0.9",
                    "--mode", "strict", "--samples", "2", "--oracle-cap", "3")
         out = capsys.readouterr().out
@@ -142,7 +154,7 @@ class TestVerify:
 
     def test_report_written_to_file(self, tmp_path, capsys):
         inst = self._gen(tmp_path, "--random", "--n", "10", "--k", "2",
-                         "--delta", "0.2", "--eps", "0.6", "--seed", "4")
+                         "--delta", "0.2", "--seed", "4")
         report = tmp_path / "report.txt"
         run("verify", "--input", inst, "--pi", "0.8", "--eps", "0.6",
             "-o", str(report))
@@ -160,7 +172,7 @@ class TestVerify:
     def test_invalid_count_flag_exit_2(self, tmp_path, capsys, flag, eps, mode):
         # eps=0.1 fails the hypothesis flags, which strict mode would refuse
         inst = self._gen(tmp_path, "--random", "--n", "12", "--k", "2",
-                         "--delta", "0.3", "--eps", "0.6", "--seed", "1")
+                         "--delta", "0.3", "--seed", "1")
         code = run("verify", "--input", inst, "--pi", "0.7", "--eps", eps,
                    "--mode", mode, *flag)
         assert code == 2

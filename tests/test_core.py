@@ -87,6 +87,8 @@ class TestConstruction:
 class TestLogScale:
     def test_log_size_zero(self):
         assert log_size(0, 7) == NEG_INF
+        with pytest.raises(ValueError, match="negative count: -1"):
+            log_size(-1, 7)
 
     def test_log_size_value(self):
         assert log_size(3, 4) == pytest.approx(math.log(3, 4))
@@ -134,6 +136,8 @@ class TestFiber:
     def test_fiber_level_out_of_range(self):
         with pytest.raises(HypergraphError):
             fiber(H334, [{0, 1, 2}])
+        with pytest.raises(HypergraphError, match="vertex fiber needs k >= 2"):
+            vertex_fiber(new_hypergraph(4, 1, [(0,)]), {0})
 
     def test_vertex_fiber_matches_fiber_over_singletons(self):
         assert vertex_fiber(H334, {0, 2}).edges == fiber(H334, [{0}, {2}]).edges
@@ -185,14 +189,15 @@ class TestDegrees:
     def test_max_degrees_match_reference(self, h):
         assert h.max_degrees == tuple(max(reference.codegrees(h.edges, ell).values(), default=0)
                                       for ell in range(1, h.k))
-        # the per-vertex index against the incidence it stands in for
-        assert len(h.degrees) == h.n
+        # each per-vertex index against the edges through v, read off h.edges
+        assert len(h.degrees) == len(h.incidence) == h.n
         for v in h.vertices:
-            inc = h.incidence.get(v, ())
-            assert h.degrees[v] == len(inc)
-            assert h.edges_through(v) == inc
+            through = tuple(e for e in h.edges if v in e)
+            assert h.incidence[v] == through
+            assert h.degrees[v] == len(through)
+            assert h.edges_through(v) == through
             if h.k == 2:
-                assert h.neighbours[v] == tuple(u for e in inc for u in e if u != v)
+                assert h.neighbours[v] == tuple(u for e in through for u in e if u != v)
         assert h.edges_through(-1) == h.edges_through(h.n) == ()
         if h.k != 2:
             with pytest.raises(HypergraphError, match="neighbours needs k = 2"):

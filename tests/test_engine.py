@@ -131,7 +131,7 @@ class TestPrintOf:
                 for f in prnt:
                     assert cmp_log(len(f), level.params.pi, h.n) <= 0
                     if level.fingerprint_expanding(f):
-                        level = level.child_for(f)[1]
+                        level = level.child_for(f)
 
     def test_cross_implementation_oracle(self):
         # independent straightforward reimplementation of the greedy rule
@@ -148,7 +148,7 @@ class TestPrintOf:
                 size = max_bounded_size(hf, ctx2.params.delta_p)
                 if f and cmp_log(size, 1 + (ctx2.h.k - 2) * ctx2.params.delta_p
                                  - ctx2.params.eps_p, ctx2.h.n) >= 0:
-                    child = ctx2.child_for(f)[1]
+                    child = ctx2.child_for(f)
                     return (f,) + reference_print(child, iset)
                 grew = False
                 for x in sorted(iset - f):
@@ -173,7 +173,7 @@ class TestPrintOf:
         # maximal independent set: greedy on ascending vertices
         iset = set()
         for v in range(h.n):
-            if all(not iset.issuperset(set(e) - {v}) for e in h.incidence.get(v, ())):
+            if all(not iset.issuperset(set(e) - {v}) for e in h.incidence[v]):
                 iset.add(v)
         iset = frozenset(iset)
         assert ctx.print_of(iset) == reference_print(ctx, iset)
@@ -191,7 +191,7 @@ class TestPrintOf:
             for _ in range(100):
                 iset = set()
                 for v in rng.sample(range(60), rng.randint(1, 12)):
-                    if not any(set(e) <= iset | {v} for e in h.incidence.get(v, ())):
+                    if not any(set(e) <= iset | {v} for e in h.incidence[v]):
                         iset.add(v)
                 isets.append(frozenset(iset))
             cases.append((h, pi, eps, isets))
@@ -205,7 +205,7 @@ class TestPrintOf:
                         assert cmp_log(len(f), level.params.pi_tilde, h.n) < 0
                         sizes.append(len(f))
                         break
-                    level = level.child_for(f)[1]
+                    level = level.child_for(f)
             assert not ctx.heuristic_used
         # the star's leaves stop growing at 6 < 16384^pi~ ~ 19.7
         assert sizes[0] == 6 and sum(s > 0 for s in sizes) >= 50
@@ -232,18 +232,18 @@ class TestHomogeneousWitness:
 
     def test_witness_is_homogeneous(self):
         ctx, f = self._expanding_setup()
-        g = ctx.child_for(f)[0]
+        g = ctx.child_for(f).h
         assert is_homogeneous(g, ctx.params.delta_p, ctx.params.eps_p)
         assert set(g.edges) <= set(vertex_fiber(ctx.h, f).edges)
 
     def test_witness_deterministic(self):
         ctx, f = self._expanding_setup()
-        assert ctx.child_for(f)[0].edges == ctx.child_for(f)[0].edges
+        assert ctx.child_for(f).h.edges == ctx.child_for(f).h.edges
 
     def test_k2_full_fiber_when_large(self):
         # 1-uniform fibers are vacuously bounded: witness is the fiber itself
         ctx, f = self._expanding_setup()
-        g = ctx.child_for(f)[0]
+        g = ctx.child_for(f).h
         assert g.edges == vertex_fiber(ctx.h, f).edges
 
     def test_not_expanding_raises(self):
@@ -344,7 +344,7 @@ def test_h_minus_matches_reference(case):
         p = ctx.params
         tau = (p.k - 1) * p.delta_p - p.eps_tilde
         expect = {x for x in range(h.n)
-                  if cmp_log(len(hm.incidence.get(x, ())), tau, h.n) < 0}
+                  if cmp_log(len(hm.incidence[x]), tau, h.n) < 0}
         assert ctx.container_of((f,)) == expect
 
 
@@ -364,7 +364,7 @@ def test_k3_container_drops_the_edges_of_h_hat():
     assert ctx.h_minus(f) == set(hat.edges) == set(_NEAR3.edges[:5])
     p = ctx.params
     tau = (p.k - 1) * p.delta_p - p.eps_tilde
-    small = {x for x in range(1024) if cmp_log(len(hm.incidence.get(x, ())), tau, 1024) < 0}
+    small = {x for x in range(1024) if cmp_log(len(hm.incidence[x]), tau, 1024) < 0}
     # 0 to 3 (H-degrees 4, 5, 2 and 2) are in only because H^ is taken away
     assert ctx.container_of((f,)) == small == set(range(1024)) - {6, 7, 8, 9}
 
@@ -379,11 +379,16 @@ class TestContainerOf:
         h = new_hypergraph(4, 1, [(0,)])
         with pytest.raises(PrintDomainError):
             _ctx(h, 0.5, 1.0).container_of((frozenset({1}),))
+        with pytest.raises(EngineError, match="h_minus needs k >= 2"):
+            _ctx(h, 0.5, 1.0).h_minus({1})
 
     def test_k2_rejects_empty_print(self):
         h = new_hypergraph(4, 2, [(0, 1)])
         with pytest.raises(PrintDomainError):
             _ctx(h, 0.5, 0.5).container_of(())
+        # {2} has an empty fiber, so it is not expanding and ends the print
+        with pytest.raises(PrintDomainError, match="non-trivial tail"):
+            _ctx(h, 0.5, 0.5).container_of((frozenset({2}), frozenset()))
 
     @pytest.mark.parametrize("prnt, bad", [((frozenset({99}),), 99),
                                            ((frozenset({-1}),), -1),
@@ -414,7 +419,7 @@ class TestContainerOf:
             c = ctx.container_of(prnt)
             level, tail = ctx, prnt
             while level.fingerprint_expanding(tail[0]) if tail else False:
-                level = level.child_for(tail[0])[1]
+                level = level.child_for(tail[0])
                 tail = tail[1:]
             if not tail:  # k = 1 base of the recursion
                 assert c == frozenset(range(h.n)) - level.h.covered_vertices()
@@ -459,6 +464,12 @@ class TestModes:
         params = derive_params(2, 0.5, 0.1, 8)  # eps < 4 log_8 2
         with pytest.raises(StrictModeError):
             EngineContext(h, params, mode="strict")
+        # an unknown mode and a (k, n) mismatch are refused in any mode
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            EngineContext(h, params, mode="exact")
+        for k, n in [(3, 8), (2, 9)]:
+            with pytest.raises(ValueError, match=r"disagree on \(k, n\)"):
+                EngineContext(h, derive_params(k, 0.5, 0.5, n))
 
     def test_strict_child_accepts_hypothesis_tie(self):
         # pi = 2 log_1024 2 exactly; the child's pi' = log_1024 2 must keep
@@ -486,7 +497,7 @@ def test_child_inherits_mode_and_reports_fallback(monkeypatch, mode):
     # fallback is forced in the child because no natural instance is known
     h = gen_random(100, 3, 0.4, 0.3, seed=1)
     ctx = EngineContext(h, derive_params(3, 0.6, 0.95, h.n), mode=mode)
-    _gf, child = ctx.child_for({h.edges[0][0]})
+    child = ctx.child_for({h.edges[0][0]})
     assert child.mode == mode and not ctx.heuristic_used
 
     def refuse(*_args, **_kwargs):

@@ -256,9 +256,15 @@ class TestFileFormat:
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.hg"
-        path.write_text("2 4\n0 1\n")
-        with pytest.raises(FormatError, match="header"):
-            read_edge_list(path)
+        # "--" passes the character check but not int(); comment lines
+        # alone leave no header
+        for text, message in [("2 4\n0 1\n", "malformed header: '2 4'"),
+                              ("2 -- 3\n", "malformed header: '2 -- 3'"),
+                              ("# c\n# d", "missing header line")]:
+            path.write_text(text)
+            with pytest.raises(FormatError) as info:
+                read_edge_list(path)
+            assert str(info.value) == message
 
     def test_duplicate_edge(self, tmp_path):
         path = tmp_path / "bad.hg"
