@@ -1,8 +1,10 @@
 """Canonical k-uniform hypergraphs and the log-scale primitives on them.
 
-Vertices are integers 0..n-1 and every edge is stored as a strictly
-ascending tuple, so iteration order (and hence everything downstream
-that scans edges "in canonical order") is deterministic.
+Vertices are integers 0..n-1 and every edge is a strictly ascending
+tuple, the edges sorted (canonical order), so iteration order (and hence
+everything downstream that scans edges "in canonical order") is
+deterministic.  A hypergraph may instead hold them as one flat array of
+their vertices in that order (see Hypergraph).
 
 All size thresholds in this package are of the form  |S| >= n^tau  with an
 integer left-hand side.  They are evaluated by comparing log_n|S| against
@@ -13,13 +15,13 @@ from ties.  The convention log 0 = -inf is used throughout.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from operator import index
-from typing import Iterable
+from operator import eq, index
+from typing import Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
 
@@ -79,17 +81,50 @@ def pow_ceil(n: int, tau: float) -> int:
     return d if cmp_log(d, tau, n) == 0 else d + 1
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertex set {0, ..., n-1}.
 
     Immutable after construction; safe to share between workers.  Use
     new_hypergraph() to build one from raw edge data.
+
+    The edges are given in canonical order either as a tuple of edge
+    tuples or as one array("i") of their m*k vertices, edge after edge.
+    The array holds 4 bytes a vertex where a 2-tuple and its slot take
+    64 bytes an edge; from it, edges is built on first access and cached.
+    Hypergraphs with the same n, k and edges compare equal, whichever
+    form they were built from.
     """
 
-    n: int
-    k: int
-    edges: tuple[Edge, ...]
+    def __init__(self, n: int, k: int, edges: tuple[Edge, ...] | array):
+        flat = edges if isinstance(edges, array) else None
+        self.__dict__.update(n=n, k=k, _flat=flat)
+        if flat is None:
+            self.__dict__["edges"] = edges
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hypergraph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return ((self.n, self.k, len(self)) == (other.n, other.k, len(other))
+                and all(map(eq, self.edge_vertices(), other.edge_vertices())))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, tuple(self.edge_vertices())))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(n={self.n}, k={self.k}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ascending tuples, in canonical order."""
+        return tuple(edge_tuples(self._flat, self.k))
+
+    def edge_vertices(self) -> Iterable[int]:
+        """The m*k vertices of the edges, edge after edge in canonical
+        order, read without building edges."""
+        return chain.from_iterable(self.edges) if self._flat is None else self._flat
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -110,11 +145,15 @@ class Hypergraph:
         """At k = 2, v -> v's neighbours in ascending order, which is the
         order of the other ends of v's edges in canonical order.  Built
         instead of incidence, never beside it: both cost about as much
-        memory."""
+        memory.  Read from the edge array without building edges."""
         if self.k != 2:
             raise HypergraphError(f"neighbours needs k = 2, got k={self.k}")
         nb: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in self.edges:  # edges ascend, so every list does too
+        if self._flat is None:
+            it = chain.from_iterable(self.edges)
+        else:  # each int read out of the array is a new object: share one a vertex
+            it = map(list(range(self.n)).__getitem__, self._flat)
+        for a, b in zip(it, it):  # edges ascend, so every list does too
             nb[a].append(b)
             nb[b].append(a)
         return tuple(map(tuple, nb))
@@ -148,11 +187,21 @@ class Hypergraph:
         return range(self.n)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.edges) if self._flat is None else len(self._flat) // self.k
 
     def covered_vertices(self) -> frozenset[int]:
         """Union of all edges."""
-        return frozenset(v for e in self.edges for v in e)
+        return frozenset(self.edge_vertices())
+
+
+def edge_tuples(vertices: Sequence[int], k: int) -> Iterator[Edge]:
+    """The tuples of k consecutive vertices, with one int object for each
+    vertex: every int read out of an array is a new one.  They are shared
+    through a dict, so that a sparse graph on a large n costs no list of
+    n ints."""
+    vertex: dict[int, int] = {}
+    it = map(vertex.setdefault, vertices, vertices)
+    return zip(*[it] * k)
 
 
 def check_shape(n: int, k: int) -> None:
@@ -234,7 +283,7 @@ def is_homogeneous(h: Hypergraph, delta: float, eps: float) -> bool:
     """delta-bounded and log_n|h| >= 1 + (k-1) delta - eps."""
     if not is_bounded(h, delta):
         return False
-    return cmp_log(len(h.edges), 1 + (h.k - 1) * delta - eps, h.n) >= 0
+    return cmp_log(len(h), 1 + (h.k - 1) * delta - eps, h.n) >= 0
 
 
 def nabla(hp: Hypergraph, t: int, delta: float) -> frozenset[Edge]:

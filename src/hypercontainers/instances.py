@@ -19,7 +19,7 @@ from operator import eq, lt, ne
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
-from .core import Edge, Hypergraph, HypergraphError, check_shape, pow_floor
+from .core import Edge, Hypergraph, HypergraphError, check_shape, edge_tuples, pow_floor
 
 
 class FormatError(ValueError):
@@ -146,20 +146,20 @@ def _first_distinct(codes: Iterator[int], target: int) -> list[int]:
     return ordered
 
 
-def _greedy_pairs(n: int, ordered: list[int], cap: int) -> tuple[Edge, ...]:
+def _greedy_pairs(n: int, ordered: list[int], cap: int) -> array:
     """greedy_bounded_sub at k = 2 over the sorted pair codes a * n + b:
-    keep (a, b) iff both a and b are in fewer than cap kept pairs.
-    Tuples are built for kept pairs only."""
+    keep (a, b) iff both a and b are in fewer than cap kept pairs.  The
+    kept pairs are returned as one flat array of their vertices."""
     deg = [0] * n
-    vertex = list(range(n))  # one int object per vertex, shared by its pairs
-    kept = []
+    kept = array("i")
     for c in ordered:
         a, b = divmod(c, n)
         if deg[a] < cap and deg[b] < cap:
             deg[a] += 1
             deg[b] += 1
-            kept.append((vertex[a], vertex[b]))
-    return tuple(kept)
+            kept.append(a)
+            kept.append(b)
+    return kept
 
 
 def _greedy_triples(n: int, ordered: list[int], cap1: int,
@@ -206,9 +206,10 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
     greedy_bounded_sub's rule in the same sorted order, with degrees
     counted in a list and pair codegrees in a dict keyed by pair codes
     (_greedy_pairs, _greedy_triples), so no tuple is made for a candidate
-    that is not kept.  At k = 1 and k >= 4 the codes are decoded to
-    tuples and trimmed by greedy_bounded_sub itself.  eps_target is not
-    read: the output does not depend on it.
+    that is not kept, and at k = 2 none at all: the kept pairs form the
+    hypergraph's flat edge array.  At k = 1 and k >= 4 the codes are
+    decoded to tuples and trimmed by greedy_bounded_sub itself.
+    eps_target is not read: the output does not depend on it.
     """
     check_shape(n, k)
     if n >= 2 ** 32:
@@ -249,25 +250,36 @@ def gen_ap(n: int, k: int) -> Hypergraph:
     return Hypergraph(n, k, tuple(sorted(edges)))
 
 
+# write_edge_list formats this many edges with one % operation
+_WRITE_EDGES = 4096
+
+
 def write_edge_list(h: Hypergraph, path) -> None:
+    """Write h in the edge-list format, formatting blocks of edges
+    straight from its vertices (Hypergraph.edge_vertices)."""
     line = " ".join(["%d"] * h.k) + "\n"
+    vertices = iter(h.edge_vertices())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{h.k} {h.n} {len(h.edges)}\n")
-        fh.writelines(map(line.__mod__, h.edges))
+        fh.write(f"{h.k} {h.n} {len(h)}\n")
+        while block := tuple(islice(vertices, _WRITE_EDGES * h.k)):
+            fh.write(line * (len(block) // h.k) % block)
 
 
 def read_edge_list(path) -> Hypergraph:
     """Read and validate an edge-list file: FormatError for a malformed
-    or non-canonical line, HypergraphError for an invalid hypergraph."""
+    or non-canonical line, HypergraphError for an invalid hypergraph.
+    At k = 2 a file whose lines come in canonical order, as
+    write_edge_list writes them, is read into Hypergraph's flat edge
+    array without building an edge tuple."""
     # newline="" and LF-only splitting: LF is the only line separator, so
     # a CR or a Unicode separator stays inside its line and fails the checks
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     start = 0
     while text.startswith("#", start):
-        start = text.find("\n", start) + 1
-        if not start:
-            raise FormatError("missing header line")
+        start = text.find("\n", start) + 1 or len(text)
+    if start == len(text):
+        raise FormatError("missing header line")
     end = text.find("\n", start)
     if end < 0:
         end = len(text)
@@ -290,9 +302,15 @@ def read_edge_list(path) -> Hypergraph:
     found = body.count("\n") + 1 if body else 0
     if found != m:
         raise FormatError(f"header promises {m} edges, found {found} lines")
-    edges = _bulk_edges(body, k, n)
-    if edges is None:
+    flat = _bulk_vertices(body, k, n)
+    if flat is None:
         edges = _line_checked_edges(body.split("\n"), k, n)
+    elif (k == 2 and isinstance(flat, array)
+          and all(map(lt, zip(flat[0::2], flat[1::2]), zip(flat[2::2], flat[3::2])))):
+        # pairs in strictly ascending order are canonical and distinct
+        return Hypergraph(n, k, flat)
+    else:
+        edges = list(edge_tuples(flat, k))
     edges.sort()
     # every line is canonical, so the least repeated edge prints as its line
     dup = next(compress(edges, map(eq, edges, edges[1:])), None)
@@ -301,23 +319,23 @@ def read_edge_list(path) -> Hypergraph:
     return Hypergraph(n, k, tuple(edges))
 
 
-# after _bulk_edges' character check, a leading 0 follows a space or an LF
+# after _bulk_vertices' character check, a leading 0 follows a space or an LF
 _LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
-# _bulk_edges parses slices of whole lines of about this many bytes, so
+# _bulk_vertices parses slices of whole lines of about this many bytes, so
 # that no token or int is held for more than one slice at a time
 _CHUNK_BYTES = 1 << 16
 
 
-def _bulk_edges(body: str, k: int, n: int) -> list[Edge] | None:
-    """The edges of the lines of body, in file order, or None if
-    _line_checked_edges would reject a line.  Each check runs over a slice
-    of lines at once, so a rejected body is passed on to name the line."""
+def _bulk_vertices(body: str, k: int, n: int) -> array | list[int] | None:
+    """The vertices of the lines of body, line after line in file order,
+    or None if _line_checked_edges would reject a line.  Each check runs
+    over a slice of lines at once, so a rejected body is passed on to name
+    the line.  They are held in an array("i") while n <= 2^31, so that
+    every vertex fits, and in a list above that."""
     if not body.isascii():
         return None
     line_seps = b" " * (k - 1) + b"\n"
-    vertex: dict[int, int] = {}  # one int object per vertex, shared by its edges
-    intern = vertex.setdefault
-    cols: list[list[int]] = [[] for _ in range(k)]
+    flat = array("i") if n <= 1 << 31 else []
     start = 0
     while start < len(body):
         end = body.find("\n", start + _CHUNK_BYTES)
@@ -341,9 +359,8 @@ def _bulk_edges(body: str, k: int, n: int) -> list[Edge] | None:
             return None
         if min(chunk[0]) < 0 or max(chunk[-1]) >= n:
             return None
-        for col, c in zip(cols, chunk):
-            col.extend(map(intern, c, c))
-    return list(zip(*cols))
+        flat.extend(vals)
+    return flat
 
 
 def _line_checked_edges(lines: list[str], k: int, n: int) -> list[Edge]:

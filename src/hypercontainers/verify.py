@@ -178,11 +178,13 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     """Run the construction over the supplied independent sets and check
     the defining conditions of a print/container pair.
 
-    (i) every supplied set receives a print (witnessed extensionally);
-    (ii) every produced print receives a container; (iii) the sandwich
-    union(P) <= I <= union(P) | C, zero tolerance; (iv) every distinct
-    container C has log_n|X \\ C| >= 1 - sigma.  A set whose print_of or
-    container_of raises EngineError fails (i) or (ii) respectively.
+    (i) every supplied set receives a print (witnessed extensionally) of
+    at most k - 1 fingerprints, each of at most n^pi vertices;
+    (ii) every produced print receives a container C <= X; (iii) the
+    sandwich union(P) <= I <= union(P) | C, zero tolerance; (iv) every
+    distinct container C has log_n|X \\ C| >= 1 - sigma.  A set whose
+    print_of or container_of raises EngineError fails (i) or (ii)
+    respectively.
 
     The sets, each any iterable of vertices, are consumed once, in
     order, and only the distinct prints and their containers are kept;
@@ -221,6 +223,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         except EngineError:
             cond_i = False
             continue
+        if len(prnt) >= h.k or any(cmp_log(len(f), p.pi, h.n) > 0 for f in prnt):
+            cond_i = False
         cont = print_containers.get(prnt)
         if cont is None:
             try:
@@ -228,6 +232,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
             except EngineError:
                 cond_ii = False
                 continue
+            if not cont <= x:
+                cond_ii = False
             print_containers[prnt] = cont
         up = print_union(prnt)
         if cond_iii and not up <= iset <= (up | cont):
@@ -266,7 +272,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     report = VerificationReport(
         n=h.n,
         k=h.k,
-        edges=len(h.edges),
+        edges=len(h),
         ldeg=ldeg(h),
         bounded=is_bounded(h, p.delta),
         homogeneous=is_homogeneous(h, p.delta, p.eps),

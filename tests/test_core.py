@@ -1,6 +1,7 @@
 import math
 import re
-from itertools import combinations
+from array import array
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,7 @@ from hypercontainers.core import (
     vertex_fiber,
 )
 from hypercontainers.engine import derive_params
-from hypercontainers.instances import gen_random, read_edge_list
+from hypercontainers.instances import gen_random, read_edge_list, write_edge_list
 
 from conftest import hypergraphs
 import reference
@@ -82,6 +83,34 @@ class TestConstruction:
         with pytest.raises(HypergraphError) as info:
             calls[caller]()
         assert str(info.value) == message
+
+
+class TestFlatEdges:
+    @given(h=hypergraphs(k_max=4))
+    @settings(max_examples=150, deadline=None)
+    def test_flat_and_tuple_built_agree(self, tmp_path_factory, h):
+        vertices = array("i", chain.from_iterable(h.edges))
+        flat = Hypergraph(h.n, h.k, vertices)
+        assert flat == h and h == flat and hash(flat) == hash(h)
+        assert len(flat) == len(h)
+        assert flat.degrees == h.degrees
+        if h.k == 2:
+            assert flat.neighbours == h.neighbours
+            assert "edges" not in flat.__dict__
+        paths = [tmp_path_factory.mktemp("flat") / "h.hg" for _ in range(2)]
+        write_edge_list(flat, paths[0])
+        write_edge_list(h, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert flat.edges == h.edges
+        assert all(type(v) is int for e in flat.edges for v in e)
+        if h.edges:  # the last vertex moved, or the last edge dropped
+            assert Hypergraph(h.n, h.k, vertices[:-1] + array("i", [h.n])) != h
+            assert Hypergraph(h.n, h.k, vertices[:-h.k]) != h
+
+    def test_immutable(self):
+        h = new_hypergraph(4, 2, [(0, 1)])
+        with pytest.raises(AttributeError, match="immutable"):
+            h.n = 5
 
 
 class TestLogScale:

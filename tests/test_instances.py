@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from itertools import islice
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hypercontainers.core import (
     HypergraphError,
+    edge_tuples,
     is_bounded,
     is_homogeneous,
     ldeg,
@@ -19,7 +21,7 @@ from hypercontainers import instances
 from hypercontainers.instances import (
     _BLOCK_WORDS,
     FormatError,
-    _bulk_edges,
+    _bulk_vertices,
     _code,
     _kset_codes,
     _line_checked_edges,
@@ -257,10 +259,12 @@ class TestFileFormat:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.hg"
         # "--" passes the character check but not int(); comment lines
-        # alone leave no header
+        # alone, with or without a final LF, and an empty file leave no header
         for text, message in [("2 4\n0 1\n", "malformed header: '2 4'"),
                               ("2 -- 3\n", "malformed header: '2 -- 3'"),
-                              ("# c\n# d", "missing header line")]:
+                              ("# c\n# d", "missing header line"),
+                              ("# c\n# d\n", "missing header line"),
+                              ("", "missing header line")]:
             path.write_text(text)
             with pytest.raises(FormatError) as info:
                 read_edge_list(path)
@@ -392,7 +396,8 @@ class TestFileFormat:
         except (FormatError, HypergraphError):
             want = None
         with mock.patch.object(instances, "_CHUNK_BYTES", chunk):
-            assert _bulk_edges("\n".join(lines), k, n) == want
+            flat = _bulk_vertices("\n".join(lines), k, n)
+        assert (None if flat is None else list(edge_tuples(flat, k))) == want
 
     # a file of many slices, with each kind of bad line in the last one
     @pytest.mark.parametrize("bad, error, message", [
@@ -426,6 +431,33 @@ class TestFileFormat:
         write_edge_list(h, path)
         assert read_edge_list(path) == h
         assert max(e[-1] for e in h.edges) >= 2**15
+
+    def test_k2_instance_is_one_flat_array(self, tmp_path):
+        # the benchmark's k = 2 instance, 82,571 edges: as edge tuples it
+        # retained 5.5 MB, as one array("i") of its vertices 0.66 MB
+        path = tmp_path / "h.hg"
+        tracemalloc.start()
+        try:
+            h = gen_random(16384, 2, 0.25, 0.3, 1000)
+            generated = tracemalloc.get_traced_memory()[0]
+            write_edge_list(h, path)
+            del h
+            before = tracemalloc.get_traced_memory()[0]
+            h = read_edge_list(path)
+            read = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(h) == 82571
+        assert generated < 2 << 20 and read < 2 << 20
+
+    @pytest.mark.parametrize("n", [2**31, 2**31 + 1, 2**70])
+    def test_vertices_past_32_bits(self, tmp_path, n):
+        # array("i") holds the vertices while n <= 2^31; above it a list does
+        path = tmp_path / "wide.hg"
+        path.write_text(f"2 {n} 2\n0 5\n1 {n - 1}\n")
+        h = read_edge_list(path)
+        assert h == new_hypergraph(n, 2, [(0, 5), (1, n - 1)])
+        assert h.edges == ((0, 5), (1, n - 1))
 
     def test_line_order_is_free(self, tmp_path):
         lines = ["2 4", "0 3", "1 3", "0 1"]

@@ -17,7 +17,7 @@ from hypercontainers.engine import (
     derive_params,
     print_union,
 )
-from hypercontainers.instances import gen_random
+from hypercontainers.instances import gen_random, read_edge_list, write_edge_list
 from hypercontainers.verify import (
     EnumerationCapError,
     _shuffled,
@@ -217,11 +217,15 @@ class TestVerify:
                 assert str(err.value) == (f"supplied set {{{','.join(map(str, sorted(s)))}}} "
                                           f"contains edge {inside[0]}")
 
-    def test_k2_run_never_builds_the_incidence(self):
+    def test_k2_run_never_builds_the_incidence(self, tmp_path):
         # at k = 2 the neighbour index serves the draw, the re-check, the
         # degrees and H^-; building incidence beside it would cost its
-        # memory a second time
-        h = gen_random(4096, 2, 0.25, 0.3, seed=3)
+        # memory a second time.  Nor are the edge tuples built, from gen
+        # through the file to the report: the flat edge array serves
+        generated = gen_random(4096, 2, 0.25, 0.3, seed=3)
+        path = tmp_path / "h.hg"
+        write_edge_list(generated, path)
+        h = read_edge_list(path)
         ctx = EngineContext(h, derive_params(2, 0.75, 0.3, h.n))
         singles = [{v} for v, d in enumerate(h.degrees) if d == 1][:4]
         rep = verify(ctx, [*sample_independent_sets(h, 4, seed=3), *singles])
@@ -229,6 +233,7 @@ class TestVerify:
         assert rep.samples == 4 + len(singles) and rep.diag_nonexpanding_prints > 0
         assert "neighbours" in h.__dict__
         assert "incidence" not in h.__dict__
+        assert "edges" not in h.__dict__ and "edges" not in generated.__dict__
 
     def test_quarter_bound_tie_holds(self):
         # |X \ C| = 4 = 1024^0.4 / 4 exactly, where a float quarter of
@@ -355,7 +360,8 @@ class _FailingContext(_StubContext):
                                            ("container_of", "cond_ii")])
 def test_engine_error_fails_condition(failing, cond):
     h = new_hypergraph(8, 2, [(0, 1), (2, 3)])
-    ctx = _FailingContext(h, derive_params(2, 0.7, 0.1, 8), failing)
+    # pi = 1, so that the stub's print (I,) has a valid shape
+    ctx = _FailingContext(h, derive_params(2, 1.0, 0.1, 8), failing)
     sets = list(enumerate_independent_sets(h))
     rep = verify(ctx, sets, enumerated=True)
     assert rep.samples == len(sets)
@@ -410,6 +416,49 @@ def test_mutant_dropping_a_vertex_of_i_fails_iii():
     assert rep.cond_iii_counterexample == (
         f"I={_braces(sets[0])} P=" + "|".join(map(_braces, target))
         + f" C={_braces(ctx.container_of(target) - {v})}")
+
+
+def test_mutant_container_outside_x_fails_ii():
+    # the random2048_k2_strict run with a vertex outside X added to the
+    # container of one print
+    h = gen_random(2048, 2, 0.25, 0.4, 1)
+    ctx = EngineContext(h, derive_params(2, 0.75, 0.4, h.n), mode="strict")
+    sets = list(sample_independent_sets(h, 20, 0))
+    rep = verify(_Mutant(ctx, ctx.print_of(sets[0]), lambda c: c | {h.n}), sets)
+    assert _flipped(rep, "random2048_k2_strict") == {"cond_ii"}
+
+
+class _WholeSetPrint(_StubContext):
+    """Stub whose print of I is cut from I itself and whose container is
+    empty, with every fingerprint called expanding (so no H^- diagnostic
+    applies): the sandwich and the complement bound hold trivially, and
+    only the shape of the print is wrong."""
+
+    def __init__(self, h, params, cut):
+        super().__init__(h, params)
+        self.cut = cut
+
+    def print_of(self, iset):
+        return self.cut(iset)
+
+    def container_of(self, prnt):
+        return frozenset()
+
+    def fingerprint_expanding(self, f):
+        return True
+
+
+@pytest.mark.parametrize("cut", [
+    lambda i: (frozenset(i),),                        # a fingerprint above n^pi
+    lambda i: tuple(frozenset({v}) for v in sorted(i)),  # more than k - 1 of them
+], ids=["oversized", "too-long"])
+def test_stub_printing_the_whole_set_fails_i(cut):
+    # the random2048_k2_strict sets, whose sizes reach 653 > 2048^0.75 ~ 304
+    h = gen_random(2048, 2, 0.25, 0.4, 1)
+    sets = list(sample_independent_sets(h, 20, 0))
+    assert max(map(len, sets)) > 2048 ** 0.75 and min(map(len, sets)) > 1
+    rep = verify(_WholeSetPrint(h, derive_params(2, 0.75, 0.4, h.n), cut), sets)
+    assert _flipped(rep, "random2048_k2_strict") == {"cond_i"}
 
 
 @cache
