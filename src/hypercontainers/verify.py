@@ -210,13 +210,14 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
                              f"outside [0, {h.n})")
-        if not (h.k == 2 and iset.isdisjoint(
-                chain.from_iterable(map(h.neighbours.__getitem__, iset)))):
-            # the scan names the least edge inside; at k = 2 it runs only
-            # when the neighbour test has found one
+        if h.k != 2:
             e = next(filter(iset.issuperset, h.edges), None)
-            if e is not None:
-                raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
+        elif iset.isdisjoint(chain.from_iterable(map(h.neighbours.__getitem__, iset))):
+            e = None
+        else:  # the least edge inside, named without building h.edges
+            e = min((v, u) for v in iset for u in h.neighbours[v] if v < u and u in iset)
+        if e is not None:
+            raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
         samples += 1
         try:
             prnt = ctx.print_of(iset)

@@ -3,13 +3,15 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from conftest import low_degree_singletons
-from hypercontainers.core import new_hypergraph
+from hypercontainers.core import Hypergraph, new_hypergraph
 from hypercontainers.engine import (
     EngineContext,
     EngineError,
@@ -192,14 +194,16 @@ class TestVerify:
             verify(ctx, [frozenset({4, 3, 2, 1})])
 
     def test_k2_recheck_accepts_exactly_the_independent_sets(self):
-        # the neighbour test decides, and the edge scan names the least
-        # edge inside, as the definition does
+        # the neighbour test decides and the neighbour index names the
+        # least edge inside, as the definition does, without building the
+        # edge tuples of an array-built hypergraph
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randint(2, 12)
             pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 14))]
             h = new_hypergraph(n, 2, pairs)
-            ctx = EngineContext(h, derive_params(2, 0.7, 0.6, n))
+            flat = Hypergraph(n, 2, array("i", chain.from_iterable(h.edges)))
+            ctx = EngineContext(flat, derive_params(2, 0.7, 0.6, n))
             sets = [frozenset(v for v in range(n) if rng.random() < p)
                     for p in (0.1, 0.3, 0.5, 0.8)]
             if h.edges:
@@ -216,6 +220,7 @@ class TestVerify:
                     verify(ctx, [s])
                 assert str(err.value) == (f"supplied set {{{','.join(map(str, sorted(s)))}}} "
                                           f"contains edge {inside[0]}")
+            assert "edges" not in flat.__dict__
 
     def test_k2_run_never_builds_the_incidence(self, tmp_path):
         # at k = 2 the neighbour index serves the draw, the re-check, the
