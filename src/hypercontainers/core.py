@@ -127,10 +127,6 @@ class Hypergraph:
         return chain.from_iterable(self.edges) if self._flat is None else self._flat
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
     def incidence(self) -> tuple[tuple[Edge, ...], ...]:
         """v -> the edges containing v, in canonical order.  The library
         reads it only at k != 2, through edges_through and degrees."""
@@ -145,14 +141,13 @@ class Hypergraph:
         """At k = 2, v -> v's neighbours in ascending order, which is the
         order of the other ends of v's edges in canonical order.  Built
         instead of incidence, never beside it: both cost about as much
-        memory.  Read from the edge array without building edges."""
+        memory.  Read through edge_vertices, so from an edge array
+        without building edges."""
         if self.k != 2:
             raise HypergraphError(f"neighbours needs k = 2, got k={self.k}")
         nb: list[list[int]] = [[] for _ in range(self.n)]
-        if self._flat is None:
-            it = chain.from_iterable(self.edges)
-        else:  # each int read out of the array is a new object: share one a vertex
-            it = map(list(range(self.n)).__getitem__, self._flat)
+        # each int read out of an array is a new object: share one a vertex
+        it = map(list(range(self.n)).__getitem__, self.edge_vertices())
         for a, b in zip(it, it):  # edges ascend, so every list does too
             nb[a].append(b)
             nb[b].append(a)

@@ -253,7 +253,7 @@ class EngineContext:
             raise EngineError("h_minus needs k >= 2")
         hf = vertex_fiber(h, frozenset(f))
         # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
-        marked = hf.edge_set.union(*(nabla(hf, t, p.delta) for t in range(1, h.k - 1)))
+        marked = frozenset(hf.edges).union(*(nabla(hf, t, p.delta) for t in range(1, h.k - 1)))
         near = {e for v in hf.covered_vertices() for e in h.edges_through(v)}
         return {e for e in near
                 if any(u in marked for t in range(1, h.k) for u in combinations(e, t))}
@@ -286,7 +286,4 @@ class EngineContext:
 
 
 def print_union(prnt: Print) -> frozenset[int]:
-    out: frozenset[int] = frozenset()
-    for f in prnt:
-        out |= f
-    return out
+    return frozenset().union(*prnt)

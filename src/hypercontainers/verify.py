@@ -210,14 +210,15 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
                              f"outside [0, {h.n})")
-        if h.k != 2:
-            e = next(filter(iset.issuperset, h.edges), None)
-        elif iset.isdisjoint(chain.from_iterable(map(h.neighbours.__getitem__, iset))):
-            e = None
-        else:  # the least edge inside, named without building h.edges
-            e = min((v, u) for v in iset for u in h.neighbours[v] if v < u and u in iset)
-        if e is not None:
-            raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
+        # at k = 2, I is independent when no neighbour of I is in I; an
+        # edge inside I passes through a vertex of I, so the least one is
+        # found among the edges through I's vertices
+        if h.k != 2 or not iset.isdisjoint(
+                chain.from_iterable(map(h.neighbours.__getitem__, iset))):
+            e = min((e for v in iset for e in h.edges_through(v) if iset.issuperset(e)),
+                    default=None)
+            if e is not None:
+                raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
         samples += 1
         try:
             prnt = ctx.print_of(iset)
@@ -243,12 +244,13 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
                            + "|".join(_set_str(f) for f in prnt)
                            + f" C={_set_str(cont)}")
 
-    containers = sorted(set(print_containers.values()), key=sorted)
-    comp_logs = [log_size(len(x - c), h.n) for c in containers]
+    # |X \ C| once per distinct container, sorted so that the mean sums in a fixed order
+    comp = {c: len(x - c) for c in sorted(set(print_containers.values()), key=sorted)}
+    comp_logs = [log_size(size, h.n) for size in comp.values()]
     cond_iv = True
     iv_counter = ""
-    for c, lv in zip(containers, comp_logs):
-        if cmp_log(len(x - c), 1 - p.sigma, h.n) < 0:
+    for (c, size), lv in zip(comp.items(), comp_logs):
+        if cmp_log(size, 1 - p.sigma, h.n) < 0:
             cond_iv = False
             iv_counter = f"C={_set_str(c)} log_complement={_fmt(lv)}"
             break
@@ -262,10 +264,10 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         for prnt, cont in print_containers.items():
             if len(prnt) == 1 and not ctx.fingerprint_expanding(prnt[0]):
                 diag_n += 1
-                comp = len(x - cont)
-                diag_min = comp if diag_min < 0 else min(diag_min, comp)
+                size = comp[cont]
+                diag_min = size if diag_min < 0 else min(diag_min, size)
                 # |X \ C| >= n^(1-eps) / 4
-                if cmp_log(4 * comp, 1 - p.eps, h.n) < 0:
+                if cmp_log(4 * size, 1 - p.eps, h.n) < 0:
                     quarter_ok = False
         if diag_n and p.hyp_eps_ok and p.hyp_pi_ok:
             diag_quarter = "true" if quarter_ok else "false"
@@ -288,7 +290,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         cond_iv=cond_iv,
         cond_iii_counterexample=iii_counter,
         cond_iv_counterexample=iv_counter,
-        containers_distinct=len(containers),
+        containers_distinct=len(comp),
         complement_log_min=min(comp_logs, default=NEG_INF),
         complement_log_max=max(comp_logs, default=NEG_INF),
         complement_log_mean=(sum(comp_logs) / len(comp_logs)) if comp_logs else NEG_INF,
@@ -298,9 +300,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         print_containers=print_containers,
     )
     if enumerated:
-        lhs, rhs = counting_bound(report)
-        report.counting_lhs = lhs
-        report.counting_rhs = rhs
+        report.counting_lhs, report.counting_rhs = counting_bound(report)
     return report
 
 

@@ -145,7 +145,7 @@ def h_minus(ctx, f) -> tuple[Hypergraph, Hypergraph]:
         raise EngineError("h_minus needs k >= 2")
     hf = vertex_fiber(h, frozenset(f))
     # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
-    levels = [(h.k - 1, hf.edge_set)] + [
+    levels = [(h.k - 1, frozenset(hf.edges))] + [
         (t, nabla(hf, t, p.delta)) for t in range(1, h.k - 1)]
     hat, rest = [], []
     for e in h.edges:

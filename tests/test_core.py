@@ -343,7 +343,7 @@ def test_section_covers_partition(h):
     km1 = list(combinations(range(h.n), h.k - 1))
     left = section(h, c, km1)
     right = {e for e in h.edges if all(v % 2 == 1 for v in e)}
-    assert left | right == h.edge_set
+    assert left | right == frozenset(h.edges)
 
 
 @given(hypergraphs(k_max=4))

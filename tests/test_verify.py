@@ -222,6 +222,34 @@ class TestVerify:
                                           f"contains edge {inside[0]}")
             assert "edges" not in flat.__dict__
 
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_recheck_names_the_least_edge_inside_at_every_k(self, k):
+        # the edge named is the definition's least edge inside the set,
+        # whether the hypergraph holds tuples or one flat edge array
+        rng = random.Random(k)
+        inside_counts = set()
+        for _ in range(12):
+            n = rng.randint(k + 1, 10)
+            h = new_hypergraph(n, k, [rng.sample(range(n), k)
+                                      for _ in range(rng.randint(1, 3 * n))])
+            flat = Hypergraph(n, k, array("i", chain.from_iterable(h.edges)))
+            e1, e2 = rng.choice(h.edges), rng.choice(h.edges)
+            sets = [frozenset(), frozenset(e1), frozenset(e1 + e2), frozenset(range(n))]
+            sets += [frozenset(v for v in range(n) if rng.random() < p) for p in (0.2, 0.5)]
+            for g in (h, flat):
+                ctx = EngineContext(g, derive_params(k, 0.7, 0.6, n))
+                for s in sets:
+                    inside = [e for e in h.edges if set(e) <= s]
+                    inside_counts.add(min(len(inside), 2))
+                    if not inside:
+                        assert verify(ctx, [s]).samples == 1
+                        continue
+                    with pytest.raises(NotIndependentError) as err:
+                        verify(ctx, [s])
+                    assert str(err.value) == (f"supplied set {{{','.join(map(str, sorted(s)))}}} "
+                                              f"contains edge {min(inside)}")
+        assert inside_counts == {0, 1, 2}
+
     def test_k2_run_never_builds_the_incidence(self, tmp_path):
         # at k = 2 the neighbour index serves the draw, the re-check, the
         # degrees and H^-; building incidence beside it would cost its
