@@ -1,35 +1,32 @@
 """Oracle for the maximum delta-bounded subhypergraph.
 
-Exact routes:
-  * 1-uniform: every subhypergraph is bounded, so the answer is the input.
-  * 2-uniform: degree-constrained subgraph, solved exactly at any size by
-    a reduction of simple b-matching to maximum matching (vertex copies +
-    one gadget pair per edge; max matching = m + optimum).  When no
-    vertex has degree above its cap the graph is its own maximum witness
-    and no matching is solved (the paper's delta' makes every fiber H_F
-    with |F| <= 2 of a delta-bounded 3-uniform H such a graph).
-    Otherwise the witness takes one maximum-weight maximum-cardinality
-    solve on the gadget: every gadget edge of input edge i weighs
-    2^(m-1-i), so among maximum witnesses the earliest kept edge decides.
-    That solve is networkx's blossom algorithm, imported only then.
-    2-uniform fibers come from instances with k >= 3, so a k=2 run, or
-    any run in which no 2-uniform fiber binds, loads no third-party code.
-  * general uniformity: an input that is already delta-bounded is its
-    own unique maximum witness, at any size.  Otherwise branch-and-bound
-    over edges in canonical order, include-first, guarded by an
-    edge-count cap (subset maximization with codegree caps has no known
-    general poly-time algorithm).
+One rule comes first at every uniformity: an input that is already
+delta-bounded, by the codegree counts of its edges level by level, is
+its own unique maximum witness, at any size and with nothing solved.
+That covers the empty input, k = 1 and, by the paper's delta', every
+fiber H_F with |F| <= 2 of a delta-bounded 3-uniform H.  An input that
+binds goes to an exact route under the integer caps of core.level_caps:
+  * 2-uniform: a reduction of simple b-matching to maximum matching
+    (vertex copies + one gadget pair per edge), exact at any size.  The
+    witness is one maximum-weight maximum-cardinality solve: every
+    gadget edge of input edge i weighs 2^(m-1-i), so among maximum
+    witnesses the earliest kept edge decides; the size is one unweighted
+    solve.  networkx's blossom algorithm solves it and is imported only
+    then, so a run in which no 2-uniform fiber binds, every k=2 run
+    among them, loads no third-party code.
+  * general uniformity: branch-and-bound over edges in canonical order,
+    include-first, guarded by an edge-count cap (subset maximization
+    with codegree caps has no known general poly-time algorithm).
 
 Among maximum witnesses the lexicographically least edge subset is
-returned, so downstream construction steps are deterministic functions of
-their inputs.
+returned, so downstream steps are deterministic functions of their inputs.
 """
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
 
-from .core import Edge, Hypergraph, codegrees, is_bounded, pow_floor
+from .core import Edge, Hypergraph, codegrees, degrees_bounded, level_caps
 
 DEFAULT_EXACT_CAP = 24
 
@@ -46,19 +43,12 @@ class OracleSizeError(RuntimeError):
     """Exact mode refused: instance exceeds the configured edge cap."""
 
 
-def _level_caps(hp: Hypergraph, delta: float) -> dict[int, int]:
-    """Integer codegree cap per level ell: largest d with d <= n^((k-ell) delta)."""
-    return {ell: pow_floor(hp.n, (hp.k - ell) * delta) for ell in range(1, hp.k)}
-
-
 def _bmatching(edges: list[Edge], cap: int, lex: bool) -> list[Edge]:
     """A maximum set of edges of a simple graph with every vertex in at
     most cap of them; with lex, the lexicographically least one."""
-    deg = codegrees(edges, 1)
-    if max(deg.values(), default=0) <= cap:
-        return edges
     import networkx as nx
 
+    deg = codegrees(edges, 1)
     g = nx.Graph()
     for idx, (u, v) in enumerate(edges):
         # exact: networkx keeps integer weights integral
@@ -125,41 +115,42 @@ def _bnb_max(edges: list[Edge], caps: dict[int, int]) -> tuple[Edge, ...]:
     return best_witness
 
 
+def _max_witness(hp: Hypergraph, delta: float, exact_cap: int,
+                 lex: bool) -> Hypergraph:
+    """A maximum delta-bounded subhypergraph (with lex, the lexicographically
+    least); OracleSizeError if hp binds, k >= 3 and m > exact_cap."""
+    if degrees_bounded((max(codegrees(hp.edges, ell).values(), default=0)
+                        for ell in range(1, hp.k)), hp.n, hp.k, delta):
+        return hp
+    edges = list(hp.edges)
+    caps = level_caps(hp.n, hp.k, delta)
+    if hp.k == 2:
+        witness = _bmatching(edges, caps[1], lex)
+    elif len(edges) > exact_cap:
+        raise OracleSizeError(
+            f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
+    else:
+        witness = _bnb_max(edges, caps)
+    return Hypergraph(hp.n, hp.k, tuple(witness))
+
+
 def max_bounded_size(hp: Hypergraph, delta: float,
                      exact_cap: int = DEFAULT_EXACT_CAP) -> int:
-    """|hp|_delta, the maximum size of a delta-bounded subhypergraph.
-
-    Raises OracleSizeError for uniformity >= 3 beyond the edge cap,
-    unless hp is already delta-bounded.
-    """
-    if hp.k == 2 and hp.edges:
-        return len(_bmatching(list(hp.edges), pow_floor(hp.n, delta), lex=False))
-    return len(max_bounded_sub(hp, delta, exact_cap))
+    """|hp|_delta, the maximum size of a delta-bounded subhypergraph."""
+    return len(_max_witness(hp, delta, exact_cap, lex=False))
 
 
 def max_bounded_sub(hp: Hypergraph, delta: float,
                     exact_cap: int = DEFAULT_EXACT_CAP) -> Hypergraph:
     """Exact maximum delta-bounded subhypergraph, lexicographically least
     among the maximum witnesses."""
-    if hp.k == 1 or not hp.edges:
-        return hp
-    edges = list(hp.edges)
-    if hp.k == 2:
-        witness = _bmatching(edges, pow_floor(hp.n, delta), lex=True)
-    elif is_bounded(hp, delta):
-        return hp
-    elif len(edges) > exact_cap:
-        raise OracleSizeError(
-            f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
-    else:
-        witness = _bnb_max(edges, _level_caps(hp, delta))
-    return Hypergraph(hp.n, hp.k, tuple(witness))
+    return _max_witness(hp, delta, exact_cap, lex=True)
 
 
 def greedy_bounded_sub(hp: Hypergraph, delta: float) -> Hypergraph:
     """Greedy lower bound: scan edges in canonical order, keep an edge iff
     no codegree cap is violated.  Fast fallback for large fibers."""
-    caps = _level_caps(hp, delta)
+    caps = level_caps(hp.n, hp.k, delta)
     counts: dict[Edge, int] = {}
     kept = [e for e in hp.edges if _admit(counts, _subsets(e, caps))]
     return Hypergraph(hp.n, hp.k, tuple(kept))

@@ -199,12 +199,21 @@ def edge_tuples(vertices: Sequence[int], k: int) -> Iterator[Edge]:
     return zip(*[it] * k)
 
 
-def check_shape(n: int, k: int) -> None:
-    """Raise HypergraphError unless n >= 2 and k >= 1."""
+# check_shape's bound on the vertex slots in the subsets of m k-sets,
+# k 2^(k-1) a set, which a codegree count of every level visits
+_SUBSET_SLOTS = 1 << 26
+
+
+def check_shape(n: int, k: int, m: int = 0) -> None:
+    """Raise HypergraphError unless n >= 2 and k >= 1, and unless m edges
+    have at most _SUBSET_SLOTS vertex slots in their subsets."""
     if n < 2:
         raise HypergraphError(f"need n >= 2, got {n}")
     if k < 1:
         raise HypergraphError(f"need k >= 1, got {k}")
+    if m > (_SUBSET_SLOTS >> (k - 1)) // k:
+        raise HypergraphError(
+            f"need m k 2^(k-1) <= 2^26 subset slots, got m = {m}, k = {k}")
 
 
 def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -223,6 +232,7 @@ def new_hypergraph(n: int, k: int, edges: Iterable[Iterable[int]]) -> Hypergraph
         if e[0] < 0 or e[-1] >= n:
             raise HypergraphError(f"edge {e} has a vertex outside [0, {n})")
         canon.add(e)
+    check_shape(n, k, len(canon))
     return Hypergraph(n, k, tuple(sorted(canon)))
 
 
@@ -265,13 +275,22 @@ def ldeg(h: Hypergraph) -> float:
     return min(max(best, 0.0), 1.0)
 
 
+def level_caps(n: int, k: int, delta: float) -> dict[int, int]:
+    """The integer codegree cap of each level ell = 1, ..., k-1: the
+    largest d with d <= n^((k-ell) delta)."""
+    return {ell: pow_floor(n, (k - ell) * delta) for ell in range(1, k)}
+
+
+def degrees_bounded(max_degrees: Iterable[int], n: int, k: int, delta: float) -> bool:
+    """Delta_ell <= n^((k-ell) delta) at every level, given Delta_1, ...,
+    Delta_(k-1) in order; a lazy iterable stops at the first level over."""
+    return all(cmp_log(d, (k - ell) * delta, n) <= 0
+               for ell, d in enumerate(max_degrees, 1))
+
+
 def is_bounded(h: Hypergraph, delta: float) -> bool:
-    """delta-bounded: Delta_ell(h) <= n^((k-ell) delta) for all levels
-    (true for k = 1, where there are none)."""
-    return all(
-        cmp_log(max_degree(h, ell), (h.k - ell) * delta, h.n) <= 0
-        for ell in range(1, h.k)
-    )
+    """delta-bounded: Delta_ell(h) <= n^((k-ell) delta) at every level (none at k = 1)."""
+    return degrees_bounded(h.max_degrees, h.n, h.k, delta)
 
 
 def is_homogeneous(h: Hypergraph, delta: float, eps: float) -> bool:

@@ -19,7 +19,7 @@ from operator import eq, lt, ne
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
-from .core import Edge, Hypergraph, HypergraphError, check_shape, edge_tuples, pow_floor
+from .core import Edge, Hypergraph, HypergraphError, check_shape, edge_tuples, level_caps
 
 
 class FormatError(ValueError):
@@ -225,12 +225,13 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
     if target > total:
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
+    check_shape(n, k, target)
     ordered = _first_distinct(_kset_codes(random.Random(seed), n, k), target)
+    caps = level_caps(n, k, delta_target).values()
     if k == 2:
-        return Hypergraph(n, k, _greedy_pairs(n, ordered, pow_floor(n, delta_target)))
+        return Hypergraph(n, k, _greedy_pairs(n, ordered, *caps))
     if k == 3:
-        return Hypergraph(n, k, _greedy_triples(
-            n, ordered, pow_floor(n, 2 * delta_target), pow_floor(n, delta_target)))
+        return Hypergraph(n, k, _greedy_triples(n, ordered, *caps))
     h = Hypergraph(n, k, tuple(_decode(c, n, k) for c in ordered))
     return greedy_bounded_sub(h, delta_target)
 
@@ -302,6 +303,7 @@ def read_edge_list(path) -> Hypergraph:
     found = body.count("\n") + 1 if body else 0
     if found != m:
         raise FormatError(f"header promises {m} edges, found {found} lines")
+    check_shape(n, k, m)
     flat = _bulk_vertices(body, k, n)
     if flat is None:
         edges = _line_checked_edges(body.split("\n"), k, n)

@@ -1,10 +1,29 @@
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from hypercontainers.core import Hypergraph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code with args in a fresh interpreter whose address space is
+    capped at 1 GiB, so that an input that no guard refuses ends there in
+    a MemoryError instead of exhausting the host.  In code, a candidate
+    draw of gen_random fails at once."""
+    head = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from hypercontainers import instances\n"
+            "instances._kset_codes = None\n")
+    return subprocess.run([sys.executable, "-c", head + code, *args],
+                          capture_output=True, text=True, timeout=600, check=False)
 
 
 def random_hypergraph(rng: random.Random, n_max=10, k_max=3, m_max=12) -> Hypergraph:

@@ -14,8 +14,8 @@ import random
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from hypercontainers.bounded import _level_caps, greedy_bounded_sub
-from hypercontainers.core import Edge, Hypergraph, HypergraphError, nabla, vertex_fiber
+from hypercontainers.bounded import greedy_bounded_sub
+from hypercontainers.core import Edge, Hypergraph, HypergraphError, cmp_log, nabla, vertex_fiber
 from hypercontainers.engine import EngineError
 
 
@@ -109,10 +109,12 @@ def gen_random_edges(n: int, k: int, delta: float, seed: int) -> tuple[Edge, ...
 
 def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:
     """Independent oracle: exhaustive DFS over all edge subsets with
-    incremental codegree counters.  For tests on small instances only."""
+    incremental codegree counters.  An edge is admitted iff every subset u
+    of it, at level ell, keeps log_n deg(u) <= (k - ell) delta, as the
+    definition reads.  For tests on small instances only."""
     if hp.k == 1:
         return len(hp.edges)
-    caps = _level_caps(hp, delta)
+    n, k = hp.n, hp.k
     edges = list(hp.edges)
     counts: dict[Edge, int] = {}
     best = 0
@@ -122,13 +124,12 @@ def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:
         if i == len(edges):
             best = max(best, size)
             return
-        e = edges[i]
-        subs = [(u, ell) for ell in caps for u in combinations(e, ell)]
-        if all(counts.get(u, 0) < caps[ell] for u, ell in subs):
-            for u, _ell in subs:
+        subs = [u for ell in range(1, k) for u in combinations(edges[i], ell)]
+        if all(cmp_log(counts.get(u, 0) + 1, (k - len(u)) * delta, n) <= 0 for u in subs):
+            for u in subs:
                 counts[u] = counts.get(u, 0) + 1
             rec(i + 1, size + 1)
-            for u, _ell in subs:
+            for u in subs:
                 counts[u] -= 1
         rec(i + 1, size)
 

@@ -9,7 +9,6 @@ from hypercontainers import bounded
 from hypercontainers.bounded import (
     OracleSizeError,
     _bnb_max,
-    _level_caps,
     greedy_bounded_sub,
     max_bounded_size,
     max_bounded_sub,
@@ -17,6 +16,7 @@ from hypercontainers.bounded import (
 from hypercontainers.core import (
     Hypergraph,
     is_bounded,
+    level_caps,
     max_degree,
     new_hypergraph,
     vertex_fiber,
@@ -55,15 +55,20 @@ class TestExact:
         with pytest.raises(OracleSizeError):
             max_bounded_size(h, 0.3, exact_cap=24)
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_bounded_input_beyond_the_cap_is_its_own_witness(self, k):
-        # a bounded input needs no search, so the edge cap does not apply
-        # disjoint edges: every cap is at least 1, even at delta = 0
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bounded_input_beyond_the_cap_is_its_own_witness(self, monkeypatch, k):
+        # a bounded input needs no search and no solve, so the edge cap
+        # does not apply; disjoint edges: every cap is at least 1, even
+        # at delta = 0
         edges = [tuple(range(i * k, (i + 1) * k)) for i in range(40 // k)]
         h = Hypergraph(40, k, tuple(edges))
         assert len(h) > 3 and is_bounded(h, 0.0)
+        calls = _count_solves(monkeypatch)
         assert max_bounded_sub(h, 0.0, exact_cap=3) is h
         assert max_bounded_size(h, 0.0, exact_cap=3) == len(h)
+        assert calls == []
+        if k < 3:
+            return
         # one more edge meeting the first puts vertex 1 over its cap 1
         h = Hypergraph(40, k, tuple(sorted(edges + [tuple(range(1, k + 1))])))
         assert not is_bounded(h, 0.0)
@@ -89,7 +94,7 @@ def test_k2_witness_is_lexicographically_least():
         h = _random_graph(rng)
         for delta in (0.0, 0.2, 0.35, 0.5, 0.75, 1.0):
             w = max_bounded_sub(h, delta).edges
-            assert w == _bnb_max(list(h.edges), _level_caps(h, delta))
+            assert w == _bnb_max(list(h.edges), level_caps(h.n, h.k, delta))
             binding += len(w) < len(h.edges)
     assert binding >= 100
 
@@ -109,7 +114,7 @@ def test_k2_one_matching_solve_per_call(monkeypatch):
     seen = set()
     for _ in range(40):
         h = _random_graph(rng)
-        binds = max_degree(h, 1) > _level_caps(h, 0.35)[1]
+        binds = max_degree(h, 1) > level_caps(h.n, h.k, 0.35)[1]
         seen.add(binds)
         for op in (max_bounded_sub, max_bounded_size):
             calls.clear()
@@ -140,21 +145,21 @@ def test_free_edges_kept_beside_a_hub(monkeypatch):
     hub = [(v, 15) for v in range(8, 15)]
     free = [(0, 1), (2, 3), (4, 5), (5, 8)]
     h = new_hypergraph(16, 2, free + hub)
-    assert _level_caps(h, 0.5)[1] == 4
+    assert level_caps(h.n, h.k, 0.5)[1] == 4
     calls = _count_solves(monkeypatch)
     w = max_bounded_sub(h, 0.5).edges
     assert len(calls) == 1
     assert set(free) <= set(w)
     assert w == tuple(free + hub[:4])
-    assert w == _bnb_max(list(h.edges), _level_caps(h, 0.5))
+    assert w == _bnb_max(list(h.edges), level_caps(h.n, h.k, 0.5))
     assert max_bounded_size(h, 0.5) == len(w)
 
 
 def test_k4_bounded_fibers_beyond_the_cap_run_exact(monkeypatch):
     # the 3-uniform fibers of this k=4 run exceed the 24-edge cap but are
-    # delta'-bounded, so the run is exact; without the bounded check it
-    # falls back to greedy, which keeps the same edges, and only
-    # oracle_mode differs
+    # delta'-bounded, so the run is exact; with the oracle's own-witness
+    # rule switched off it falls back to greedy, which keeps the same
+    # edges, and only oracle_mode differs
     h = gen_random(60, 4, 0.3, 0.6, 1)
 
     def report():
@@ -162,7 +167,7 @@ def test_k4_bounded_fibers_beyond_the_cap_run_exact(monkeypatch):
         return verify(ctx, sample_independent_sets(h, 20, 0)).to_text()
 
     exact = report()
-    monkeypatch.setattr(bounded, "is_bounded", lambda hp, delta: False)
+    monkeypatch.setattr(bounded, "degrees_bounded", lambda *args: False)
     heuristic = report()
     assert "oracle_mode = exact\n" in exact
     assert exact.replace("oracle_mode = exact\n", "oracle_mode = heuristic\n") == heuristic

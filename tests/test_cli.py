@@ -6,6 +6,8 @@ from hypercontainers import instances
 from hypercontainers.cli import main
 from hypercontainers.engine import Params
 
+from conftest import run_limited
+
 
 def run(*argv):
     return main(list(argv))
@@ -56,6 +58,24 @@ class TestGen:
             assert run("gen", "--random", *args, "-o", str(out)) == 2
             assert capsys.readouterr().err == f"error: {err}\n"
             assert not out.exists()
+
+    def test_wide_edges_refused_under_a_memory_limit(self, tmp_path):
+        # a codegree count of every level visits m k 2^(k-1) vertex slots:
+        # 2^65 for this three-line file, 2^66 for the 100 candidates of the
+        # gen run, which is refused before it draws
+        path = tmp_path / "k60.hg"
+        path.write_text("60 1048576 2\n" + "".join(
+            " ".join(map(str, range(a, a + 60))) + "\n" for a in (0, 1)))
+        out = tmp_path / "x.hg"
+        cli = "from hypercontainers.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        for args, m in [(("verify", "--input", str(path), "--pi", "0.7", "--eps", "0.3"), 2),
+                        (("gen", "--random", "--n", "100", "--k", "60", "--delta", "0",
+                          "-o", str(out)), 100)]:
+            proc = run_limited(cli, *args)
+            assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+            assert proc.stderr == (
+                f"error: need m k 2^(k-1) <= 2^26 subset slots, got m = {m}, k = 60\n")
+        assert not out.exists()
 
 
 class TestParams:

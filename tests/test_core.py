@@ -11,10 +11,12 @@ from hypercontainers.core import (
     Hypergraph,
     HypergraphError,
     NEG_INF,
+    check_shape,
     cmp_log,
     is_bounded,
     is_homogeneous,
     ldeg,
+    level_caps,
     log_size,
     max_degree,
     nabla,
@@ -56,6 +58,26 @@ class TestConstruction:
         h = new_hypergraph(4, 2, [np.array([1, 0]), (np.int64(2), 3)])
         assert h.edges == ((0, 1), (2, 3))
         assert all(type(v) is int for e in h.edges for v in e)
+
+    def test_subset_slots_bounded(self):
+        # m k 2^(k-1) vertex slots in the subsets of m k-sets, at most 2^26:
+        # a codegree count of every level visits them all
+        for k in (1, 2, 3, 4, 20, 26):
+            m = (1 << 26) // (k << (k - 1))
+            check_shape(2, k, m)
+            with pytest.raises(HypergraphError, match=re.escape(
+                    f"need m k 2^(k-1) <= 2^26 subset slots, got m = {m + 1}, k = {k}")):
+                check_shape(2, k, m + 1)
+        # the largest generator targets in use: k=3 at n=1024, delta=0.6,
+        # and k=2 at n=2^18, delta=0.25
+        check_shape(1024, 3, 4194304)
+        check_shape(1 << 18, 2, math.ceil((1 << 18) ** 1.25))
+        check_shape(2, 27, 0)
+        check_shape(2, 10 ** 9)
+        with pytest.raises(HypergraphError):
+            check_shape(2, 27, 1)
+        with pytest.raises(HypergraphError, match=re.escape("got m = 2, k = 60")):
+            new_hypergraph(61, 60, [range(60), range(1, 61)])
 
     def test_wrong_arity(self):
         with pytest.raises(HypergraphError):
@@ -289,6 +311,20 @@ class TestBoundedHomogeneous:
 
     def test_empty_not_homogeneous(self):
         assert not is_homogeneous(new_hypergraph(4, 2, []), 0.0, 0.5)
+
+
+@given(hypergraphs(k_max=4))
+@settings(max_examples=60, deadline=None)
+def test_is_bounded_matches_level_caps(h):
+    # the cmp_log rule and the integer caps agree, also at each tie
+    # delta = log_n(Delta_ell) / (k - ell), where level ell sits on its cap
+    ties = [log_size(d, h.n) / (h.k - ell) for ell, d in enumerate(h.max_degrees, 1)]
+    for delta in (0.0, 0.2, 0.5, 1.0, *ties):
+        caps = level_caps(h.n, h.k, delta)
+        assert is_bounded(h, delta) == all(
+            d <= c for d, c in zip(h.max_degrees, caps.values()))
+    for ell, (d, delta) in enumerate(zip(h.max_degrees, ties), 1):
+        assert level_caps(h.n, h.k, delta)[ell] == d
 
 
 class TestNabla:

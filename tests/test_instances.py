@@ -32,7 +32,7 @@ from hypercontainers.instances import (
     read_edge_list,
     write_edge_list,
 )
-from conftest import hypergraphs
+from conftest import hypergraphs, run_limited
 from reference import gen_random_edges, sample_ksets
 
 
@@ -72,6 +72,16 @@ class TestGenAp:
 
 
 class TestGenRandom:
+    def test_wide_candidates_refused_before_the_draw(self):
+        proc = run_limited("\n".join([
+            "from hypercontainers.core import HypergraphError",
+            "try:",
+            "    instances.gen_random(100, 60, 0.0, None, 1)",
+            "except HypergraphError as exc:",
+            "    print(exc)"]))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "need m k 2^(k-1) <= 2^26 subset slots, got m = 100, k = 60\n"
+
     def test_bounded_at_target(self):
         h = gen_random(12, 2, 0.3, 0.6, seed=1)
         assert is_bounded(h, 0.3)
