@@ -1,11 +1,12 @@
 """Oracle for the maximum delta-bounded subhypergraph.
 
-One rule comes first at every uniformity: an input that is already
-delta-bounded, by the codegree counts of its edges level by level, is
-its own unique maximum witness, at any size and with nothing solved.
-That covers the empty input, k = 1 and, by the paper's delta', every
-fiber H_F with |F| <= 2 of a delta-bounded 3-uniform H.  An input that
-binds goes to an exact route under the integer caps of core.level_caps:
+Every route reads the integer caps of core.level_caps, the one form of
+the delta-bound.  One rule comes first at every uniformity: an input
+whose largest codegree is within its cap at every level, counted level
+by level, is its own unique maximum witness, at any size and with
+nothing solved.  That covers the empty input, k = 1 and, by the paper's
+delta', every fiber H_F with |F| <= 2 of a delta-bounded 3-uniform H.
+An input that binds goes to an exact route under the same caps:
   * 2-uniform: a reduction of simple b-matching to maximum matching
     (vertex copies + one gadget pair per edge), exact at any size.  The
     witness is one maximum-weight maximum-cardinality solve: every
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from .core import Edge, Hypergraph, codegrees, degrees_bounded, level_caps
+from .core import Edge, Hypergraph, codegrees, level_caps
 
 DEFAULT_EXACT_CAP = 24
 
@@ -66,9 +67,9 @@ def _bmatching(edges: list[Edge], cap: int, lex: bool) -> list[Edge]:
     return [e for idx, e in enumerate(edges) if hits[idx] == 2]
 
 
-def _subsets(e: Edge, caps: dict[int, int]) -> list[tuple[Edge, int]]:
+def _subsets(e: Edge, caps: tuple[int, ...]) -> list[tuple[Edge, int]]:
     """Every subset of edge e at a capped level, paired with its cap."""
-    return [(u, cap) for ell, cap in caps.items() for u in combinations(e, ell)]
+    return [(u, cap) for ell, cap in enumerate(caps, 1) for u in combinations(e, ell)]
 
 
 def _admit(counts: dict[Edge, int], subs: list[tuple[Edge, int]]) -> bool:
@@ -81,7 +82,7 @@ def _admit(counts: dict[Edge, int], subs: list[tuple[Edge, int]]) -> bool:
     return True
 
 
-def _bnb_max(edges: list[Edge], caps: dict[int, int]) -> tuple[Edge, ...]:
+def _bnb_max(edges: list[Edge], caps: tuple[int, ...]) -> tuple[Edge, ...]:
     """Branch-and-bound, include-first in canonical order.
 
     Updating the incumbent only on strict improvement makes the first
@@ -115,17 +116,23 @@ def _bnb_max(edges: list[Edge], caps: dict[int, int]) -> tuple[Edge, ...]:
     return best_witness
 
 
+def _own_witness(hp: Hypergraph, caps: tuple[int, ...]) -> bool:
+    """Each level's codegree maximum within its cap, up to the first over
+    (not is_bounded: at k = 2 its degrees build an n-sized index per fiber)."""
+    return all(max(codegrees(hp.edges, ell).values(), default=0) <= cap
+               for ell, cap in enumerate(caps, 1))
+
+
 def _max_witness(hp: Hypergraph, delta: float, exact_cap: int,
                  lex: bool) -> Hypergraph:
     """A maximum delta-bounded subhypergraph (with lex, the lexicographically
     least); OracleSizeError if hp binds, k >= 3 and m > exact_cap."""
-    if degrees_bounded((max(codegrees(hp.edges, ell).values(), default=0)
-                        for ell in range(1, hp.k)), hp.n, hp.k, delta):
+    caps = level_caps(hp.n, hp.k, delta)
+    if _own_witness(hp, caps):
         return hp
     edges = list(hp.edges)
-    caps = level_caps(hp.n, hp.k, delta)
     if hp.k == 2:
-        witness = _bmatching(edges, caps[1], lex)
+        witness = _bmatching(edges, caps[0], lex)
     elif len(edges) > exact_cap:
         raise OracleSizeError(
             f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")

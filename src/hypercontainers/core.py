@@ -18,9 +18,9 @@ import math
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
-from operator import eq, index
+from operator import eq, index, le
 from typing import Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
@@ -63,22 +63,24 @@ def cmp_log(count: int, tau: float, n: int) -> int:
     return -1 if d < 0 else 1
 
 
+def _bisect(n: int, tau: float, top: int) -> int:
+    """The largest d >= 0 with cmp_log(d, tau, n) < top, by bisection from 0, where
+    it holds for tau > NEG_INF, to hi, where it fails (log_n hi >= tau + 1/log2 n)."""
+    lo, hi = 0, 1 << max(math.ceil(tau * math.log2(n)) + 1, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cmp_log(mid, tau, n) < top else (lo, mid)
+    return lo
+
+
 def pow_floor(n: int, tau: float) -> int:
     """Largest integer d >= 0 with d <= n^tau under the cmp_log rule."""
-    if tau == NEG_INF:
-        return 0
-    d = int(math.floor(n ** tau))
-    while cmp_log(d + 1, tau, n) <= 0:
-        d += 1
-    while d >= 1 and cmp_log(d, tau, n) > 0:
-        d -= 1
-    return max(d, 0)
+    return 0 if tau == NEG_INF else _bisect(n, tau, 1)
 
 
 def pow_ceil(n: int, tau: float) -> int:
     """Least integer d >= 0 with d >= n^tau under the cmp_log rule."""
-    d = pow_floor(n, tau)
-    return d if cmp_log(d, tau, n) == 0 else d + 1
+    return 0 if tau == NEG_INF else _bisect(n, tau, 0) + 1
 
 
 class Hypergraph:
@@ -267,30 +269,20 @@ def ldeg(h: Hypergraph) -> float:
     0 for k = 1 (the max ranges over an empty set) and for the empty
     hypergraph; clamped into [0, 1].
     """
-    best = 0.0
-    for ell in range(1, h.k):
-        d = max_degree(h, ell)
-        if d >= 1:
-            best = max(best, log_size(d, h.n) / (h.k - ell))
-    return min(max(best, 0.0), 1.0)
+    logs = [log_size(d, h.n) / (h.k - ell) for ell, d in enumerate(h.max_degrees, 1) if d]
+    return min(max(logs, default=0.0), 1.0)
 
 
-def level_caps(n: int, k: int, delta: float) -> dict[int, int]:
-    """The integer codegree cap of each level ell = 1, ..., k-1: the
-    largest d with d <= n^((k-ell) delta)."""
-    return {ell: pow_floor(n, (k - ell) * delta) for ell in range(1, k)}
-
-
-def degrees_bounded(max_degrees: Iterable[int], n: int, k: int, delta: float) -> bool:
-    """Delta_ell <= n^((k-ell) delta) at every level, given Delta_1, ...,
-    Delta_(k-1) in order; a lazy iterable stops at the first level over."""
-    return all(cmp_log(d, (k - ell) * delta, n) <= 0
-               for ell, d in enumerate(max_degrees, 1))
+@lru_cache(maxsize=1024)
+def level_caps(n: int, k: int, delta: float) -> tuple[int, ...]:
+    """The integer caps d <= n^((k-ell) delta) of levels ell = 1, ..., k-1, in
+    order; memoised, as every oracle call reads them, so a tuple."""
+    return tuple(pow_floor(n, (k - ell) * delta) for ell in range(1, k))
 
 
 def is_bounded(h: Hypergraph, delta: float) -> bool:
     """delta-bounded: Delta_ell(h) <= n^((k-ell) delta) at every level (none at k = 1)."""
-    return degrees_bounded(h.max_degrees, h.n, h.k, delta)
+    return all(map(le, h.max_degrees, level_caps(h.n, h.k, delta)))
 
 
 def is_homogeneous(h: Hypergraph, delta: float, eps: float) -> bool:

@@ -227,7 +227,7 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
     check_shape(n, k, target)
     ordered = _first_distinct(_kset_codes(random.Random(seed), n, k), target)
-    caps = level_caps(n, k, delta_target).values()
+    caps = level_caps(n, k, delta_target)
     if k == 2:
         return Hypergraph(n, k, _greedy_pairs(n, ordered, *caps))
     if k == 3:
@@ -244,10 +244,9 @@ def gen_ap(n: int, k: int) -> Hypergraph:
         raise HypergraphError(f"k must be >= 3 for AP instances, got {k}")
     if n < k:
         raise HypergraphError(f"need n >= k, got n={n}, k={k}")
-    edges = []
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        for a in range(n - (k - 1) * d):
-            edges.append(tuple(a + i * d for i in range(k)))
+    steps = range(1, (n - 1) // (k - 1) + 1)
+    check_shape(n, k, sum(n - (k - 1) * d for d in steps))
+    edges = [tuple(range(a, a + k * d, d)) for d in steps for a in range(n - (k - 1) * d)]
     return Hypergraph(n, k, tuple(sorted(edges)))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from hypercontainers import core
 from hypercontainers.core import Hypergraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -24,6 +25,20 @@ def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
             "instances._kset_codes = None\n")
     return subprocess.run([sys.executable, "-c", head + code, *args],
                           capture_output=True, text=True, timeout=600, check=False)
+
+
+def limit_cmp_log(monkeypatch, limit: float) -> None:
+    """Patch core.cmp_log, the rule behind pow_floor and pow_ceil, with a
+    copy that fails the test after limit calls, so that a count found
+    one step at a time fails at once instead of running for minutes."""
+    real, calls = core.cmp_log, [0]
+
+    def counted(count, tau, n):
+        calls[0] += 1
+        assert calls[0] <= limit, f"more than {limit} cmp_log calls"
+        return real(count, tau, n)
+
+    monkeypatch.setattr(core, "cmp_log", counted)
 
 
 def random_hypergraph(rng: random.Random, n_max=10, k_max=3, m_max=12) -> Hypergraph:

@@ -107,6 +107,32 @@ def gen_random_edges(n: int, k: int, delta: float, seed: int) -> tuple[Edge, ...
     return greedy_bounded_sub(Hypergraph(n, k, tuple(sorted(edges))), delta).edges
 
 
+def pow_floor(n: int, tau: float) -> int:
+    """The largest d >= 0 with d <= n^tau under cmp_log, by a scan up
+    from 0."""
+    d = 0
+    while cmp_log(d + 1, tau, n) <= 0:
+        d += 1
+    return d
+
+
+def pow_ceil(n: int, tau: float) -> int:
+    """The least d >= 0 with d >= n^tau under cmp_log, by a scan up
+    from 0."""
+    d = 0
+    while cmp_log(d, tau, n) < 0:
+        d += 1
+    return d
+
+
+def is_bounded(h: Hypergraph, delta: float) -> bool:
+    """Delta_ell(h) <= n^((k-ell) delta) at every level, as the definition
+    reads: cmp_log on each level's largest codegree, no integer caps."""
+    return all(cmp_log(max(codegrees(h.edges, ell).values(), default=0),
+                       (h.k - ell) * delta, h.n) <= 0
+               for ell in range(1, h.k))
+
+
 def brute_force_max_bounded(hp: Hypergraph, delta: float) -> int:
     """Independent oracle: exhaustive DFS over all edge subsets with
     incremental codegree counters.  An edge is admitted iff every subset u

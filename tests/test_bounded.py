@@ -25,7 +25,7 @@ from hypercontainers.engine import EngineContext, derive_params
 from hypercontainers.instances import gen_random
 from hypercontainers.verify import sample_independent_sets, verify
 
-from conftest import hypergraphs, random_hypergraph
+from conftest import hypergraphs, limit_cmp_log, random_hypergraph
 from reference import brute_force_max_bounded
 
 STAR = new_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
@@ -114,7 +114,7 @@ def test_k2_one_matching_solve_per_call(monkeypatch):
     seen = set()
     for _ in range(40):
         h = _random_graph(rng)
-        binds = max_degree(h, 1) > level_caps(h.n, h.k, 0.35)[1]
+        binds = max_degree(h, 1) > level_caps(h.n, h.k, 0.35)[0]
         seen.add(binds)
         for op in (max_bounded_sub, max_bounded_size):
             calls.clear()
@@ -145,7 +145,7 @@ def test_free_edges_kept_beside_a_hub(monkeypatch):
     hub = [(v, 15) for v in range(8, 15)]
     free = [(0, 1), (2, 3), (4, 5), (5, 8)]
     h = new_hypergraph(16, 2, free + hub)
-    assert level_caps(h.n, h.k, 0.5)[1] == 4
+    assert level_caps(h.n, h.k, 0.5)[0] == 4
     calls = _count_solves(monkeypatch)
     w = max_bounded_sub(h, 0.5).edges
     assert len(calls) == 1
@@ -167,7 +167,7 @@ def test_k4_bounded_fibers_beyond_the_cap_run_exact(monkeypatch):
         return verify(ctx, sample_independent_sets(h, 20, 0)).to_text()
 
     exact = report()
-    monkeypatch.setattr(bounded, "degrees_bounded", lambda *args: False)
+    monkeypatch.setattr(bounded, "_own_witness", lambda *args: False)
     heuristic = report()
     assert "oracle_mode = exact\n" in exact
     assert exact.replace("oracle_mode = exact\n", "oracle_mode = heuristic\n") == heuristic
@@ -193,6 +193,13 @@ def test_witnesses_are_canonical_subsequences(k):
 
 
 class TestGreedy:
+    def test_wide_empty_input_returned(self, monkeypatch):
+        # the caps n^(60-ell) of k = 60 at n = 2^20 are above any float;
+        # found by bisection, each in about 2 (20 (60-ell) + 2) steps
+        h = Hypergraph(1 << 20, 60, ())
+        limit_cmp_log(monkeypatch, sum(2 * (20 * j + 2) for j in range(1, 60)))
+        assert greedy_bounded_sub(h, 1.0) == h
+
     def test_star_scan(self):
         assert greedy_bounded_sub(STAR, 0.5).edges == ((0, 1), (0, 2))
 

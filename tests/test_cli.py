@@ -212,10 +212,20 @@ class TestDemoAp:
         assert run("demo-ap", "--n", "2", "--k", "3", "--pi", "0.5",
                    "--eps", "0.5") == 2
         capsys.readouterr()
+        # the one edge of 700 vertices is refused before params are derived
+        # (test_eps_out_of_range covers the float guard through params)
         assert run("demo-ap", "--n", "700", "--k", "700", "--pi", "0.5",
                    "--eps", "0.5") == 2
         assert capsys.readouterr().err == (
-            "error: need 3^(k-1) to fit a float, got k = 700\n")
+            "error: need m k 2^(k-1) <= 2^26 subset slots, got m = 1, k = 700\n")
+
+    def test_wide_edges_refused_under_a_memory_limit(self):
+        # the 83 edges of 40 vertices are refused before any codegree count
+        cli = "from hypercontainers.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        proc = run_limited(cli, "demo-ap", "--n", "100", "--k", "40", "--pi", "0.7",
+                           "--eps", "0.3")
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == "error: need m k 2^(k-1) <= 2^26 subset slots, got m = 83, k = 40\n"
 
     def test_report_determinism(self, tmp_path, capsys):
         outs = []

@@ -5,6 +5,7 @@ from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercontainers import core
 from hypercontainers.core import (
@@ -28,7 +29,7 @@ from hypercontainers.core import (
 from hypercontainers.engine import derive_params
 from hypercontainers.instances import gen_random, read_edge_list, write_edge_list
 
-from conftest import hypergraphs
+from conftest import hypergraphs, limit_cmp_log
 import reference
 from reference import degree, fiber, section
 
@@ -167,6 +168,42 @@ class TestLogScale:
         # and 16^0.25 = 2 included, and 1 for a negative tau
         assert pow_ceil(n, tau) == least
         assert all((d < least) == (cmp_log(d, tau, n) < 0) for d in range(n + 1))
+
+
+# n^tau near an integer d, at its ties d within LOG_TOL, and in between
+_TIE_OFFSETS = (0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12)
+
+
+@given(st.integers(2, 5000), st.integers(1, 600), st.sampled_from(_TIE_OFFSETS),
+       st.floats(-2.0, 1.0))
+@settings(max_examples=300, deadline=None)
+@example(5000, 600, 0.0, -1e-13)
+@example(16, 4, 0.0, 0.0)
+def test_pow_floor_and_ceil_match_the_scan(n, d, off, scale):
+    # tau = log_n d + off, a tie of d within LOG_TOL or just past it;
+    # tau = scale log_n d, negative for scale < 0; and NEG_INF
+    for tau in (log_size(d, n) + off, scale * log_size(d, n), NEG_INF):
+        assert pow_floor(n, tau) == reference.pow_floor(n, tau)
+        assert pow_ceil(n, tau) == reference.pow_ceil(n, tau)
+
+
+@given(st.integers(2, 1 << 64), st.floats(-2.0, 20.0))
+@settings(max_examples=200, deadline=None)
+@example(1 << 30, 2.0)
+@example(1 << 70, 16.0)
+@example(1 << 20, 59.0)
+def test_pow_floor_and_ceil_keep_the_rule_at_any_size(n, tau):
+    # up to n^tau = 2^1280, and 2^1180 in the examples: d passes and d + 1
+    # fails the rule, found with no float power in O(tau log n) steps
+    real, steps = cmp_log, 2 * (max(tau, 0.0) * math.log2(n) + 2)
+    with pytest.MonkeyPatch.context() as mp:
+        limit_cmp_log(mp, steps)
+        d = pow_floor(n, tau)
+    with pytest.MonkeyPatch.context() as mp:
+        limit_cmp_log(mp, steps + 1)
+        c = pow_ceil(n, tau)
+    assert real(d, tau, n) <= 0 < real(d + 1, tau, n)
+    assert c - 1 < 0 or real(c - 1, tau, n) < 0 <= real(c, tau, n)
 
 
 H334 = new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
@@ -316,15 +353,14 @@ class TestBoundedHomogeneous:
 @given(hypergraphs(k_max=4))
 @settings(max_examples=60, deadline=None)
 def test_is_bounded_matches_level_caps(h):
-    # the cmp_log rule and the integer caps agree, also at each tie
-    # delta = log_n(Delta_ell) / (k - ell), where level ell sits on its cap
+    # is_bounded, which reads the integer caps, agrees with the cmp_log
+    # definition, also at each tie delta = log_n(Delta_ell) / (k - ell),
+    # where level ell sits on its cap
     ties = [log_size(d, h.n) / (h.k - ell) for ell, d in enumerate(h.max_degrees, 1)]
     for delta in (0.0, 0.2, 0.5, 1.0, *ties):
-        caps = level_caps(h.n, h.k, delta)
-        assert is_bounded(h, delta) == all(
-            d <= c for d, c in zip(h.max_degrees, caps.values()))
+        assert is_bounded(h, delta) == reference.is_bounded(h, delta)
     for ell, (d, delta) in enumerate(zip(h.max_degrees, ties), 1):
-        assert level_caps(h.n, h.k, delta)[ell] == d
+        assert level_caps(h.n, h.k, delta)[ell - 1] == d
 
 
 class TestNabla:

@@ -27,7 +27,7 @@ from hypercontainers.engine import (
 from hypercontainers.instances import gen_ap, gen_random
 from hypercontainers.verify import enumerate_independent_sets, verify
 
-from conftest import random_hypergraph
+from conftest import limit_cmp_log, random_hypergraph
 from reference import h_minus, section
 
 
@@ -409,6 +409,15 @@ class TestContainerOf:
                   if cmp_log(sum(1 for e in h.edges if x in e),
                              p.delta_p - p.eps_tilde, 8) < 0}
         assert c == expect
+
+    def test_huge_threshold_takes_o_log_steps(self, monkeypatch):
+        # n^tau = 2^73.2 for the H^- degree threshold here: found by
+        # bisection in core, not one step at a time
+        h = Hypergraph(1 << 16, 6, ((0, 1, 2, 3, 4, 5),))
+        p = derive_params(6, 0.0, 0.3, h.n)
+        tau = (p.k - 1) * p.delta_p - p.eps_tilde
+        limit_cmp_log(monkeypatch, 2 * (tau * 16 + 2))
+        assert EngineContext(h, p).container_of((frozenset(),)) == set(range(h.n))
 
     def test_container_matches_brute_force_formula(self):
         # independent evaluation of the removal + threshold formula

@@ -70,6 +70,11 @@ class TestGenAp:
         with pytest.raises(HypergraphError):
             gen_ap(2, 3)
 
+    def test_wide_edges_refused(self):
+        # 83 edges of 40 vertices, 83 40 2^39 subset slots
+        with pytest.raises(HypergraphError, match="got m = 83, k = 40"):
+            gen_ap(100, 40)
+
 
 class TestGenRandom:
     def test_wide_candidates_refused_before_the_draw(self):
