@@ -12,16 +12,9 @@ import argparse
 import sys
 from collections import Counter
 
-from hypercontainers import (
-    EngineContext,
-    HypergraphError,
-    derive_params,
-    enumerate_independent_sets,
-    gen_random,
-    sample_independent_sets,
-    verify,
-)
-from hypercontainers.cli import _at_least, _unit_interval
+from hypercontainers import HypergraphError, gen_random
+from hypercontainers.bounded import DEFAULT_EXACT_CAP
+from hypercontainers.cli import _at_least, _run_verification, _unit_interval
 
 CONDITIONS = ("cond_i", "cond_ii", "cond_iii", "cond_iv")
 
@@ -36,6 +29,8 @@ def run() -> int:
     parser.add_argument("--enum-cap", type=_at_least(0), default=20)
     parser.add_argument("--samples", type=_at_least(1), default=200)
     args = parser.parse_args()
+    # the CLI's run recipe, with the sweep's fixed values
+    args.mode, args.oracle_cap, args.pi = "permissive", DEFAULT_EXACT_CAP, 1.0 - args.delta
 
     tally: Counter[str] = Counter()
     for seed in range(args.trials):
@@ -44,13 +39,8 @@ def run() -> int:
         except HypergraphError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        ctx = EngineContext(h, derive_params(h.k, 1.0 - args.delta, args.eps, h.n))
-        if h.n <= args.enum_cap:
-            sets = enumerate_independent_sets(h, cap=args.enum_cap)
-            rep = verify(ctx, sets, enumerated=True)
-        else:
-            sets = sample_independent_sets(h, args.samples, seed)
-            rep = verify(ctx, sets)
+        args.seed = seed
+        rep, _ = _run_verification(h, args)
         for cond in CONDITIONS:
             tally[cond] += getattr(rep, cond)
         tally["oracle_exact"] += rep.oracle_mode == "exact"

@@ -156,9 +156,9 @@ class Hypergraph:
         return tuple(map(tuple, nb))
 
     @cached_property
-    def degrees(self) -> list[int]:
+    def degrees(self) -> tuple[int, ...]:
         """deg(v) for every vertex v."""
-        return list(map(len, self.neighbours if self.k == 2 else self.incidence))
+        return tuple(map(len, self.neighbours if self.k == 2 else self.incidence))
 
     def edges_through(self, v: int) -> tuple[Edge, ...]:
         """The edges containing v, in canonical order (none for a v

@@ -16,7 +16,8 @@ minus the edges of H^ through x; H^- itself is never built.
 
 Both print_of and container_of are pure functions of (hypergraph,
 parameters, mode): every choice point is resolved by canonical vertex or
-edge order, and the child contexts on the G_F are memoized by fingerprint.
+edge order.  |H_F|_delta' is memoized by the vertices of F that H covers,
+the only ones H_F depends on, and the child contexts on the G_F by F.
 """
 from __future__ import annotations
 
@@ -144,7 +145,7 @@ class EngineContext:
         self.mode = mode
         self.oracle_cap = oracle_cap
         self._fell_back = False
-        self._fiber_size: dict[Fingerprint, int] = {}
+        self._fiber_size: dict[Fingerprint, int] = {frozenset(): 0}
         self._children: dict[Fingerprint, EngineContext] = {}
 
     # -- oracle plumbing ---------------------------------------------------
@@ -169,21 +170,21 @@ class EngineContext:
             self._fell_back = True
             return from_greedy(greedy_bounded_sub(hf, self.params.delta_p))
 
-    def _bounded_fiber_size(self, f: Fingerprint) -> int:
-        """|H_F|_{delta'}, memoized per fingerprint."""
-        hit = self._fiber_size.get(f)
+    def _bounded_fiber_size(self, f) -> int:
+        """|H_F|_{delta'}, memoized by the vertices of F that H covers; the
+        memo starts with 0 at F = {}, as H_{} has no edges."""
+        n, deg = self.h.n, self.h.degrees
+        key = frozenset(v for v in f if 0 <= v < n and deg[v])
+        hit = self._fiber_size.get(key)
         if hit is None:
-            hit = self._fiber_size[f] = self._oracle(max_bounded_size, f, len)
+            hit = self._fiber_size[key] = self._oracle(max_bounded_size, key, len)
         return hit
 
     def fingerprint_expanding(self, f) -> bool:
         """F is expanding: log |H_F|_{delta'} >= 1 + (k-2) delta' - eps'.
-        The empty set never is."""
-        fs = frozenset(f)
-        if not fs:
-            return False
+        The empty set never is (|H_F| = 0)."""
         p = self.params
-        return cmp_log(self._bounded_fiber_size(fs),
+        return cmp_log(self._bounded_fiber_size(f),
                        1 + (p.k - 2) * p.delta_p - p.eps_p, p.n) >= 0
 
     def fingerprint_expansive(self, f) -> bool:
@@ -191,8 +192,6 @@ class EngineContext:
         log |H_F|_{delta'} >= log|F| + (k-1) delta' - eps~.
         The empty set satisfies it (both sides are log 0)."""
         fs = frozenset(f)
-        if not fs:
-            return True
         p = self.params
         tau = log_size(len(fs), p.n) + (p.k - 1) * p.delta_p - p.eps_tilde
         return cmp_log(self._bounded_fiber_size(fs), tau, p.n) >= 0

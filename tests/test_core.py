@@ -135,6 +135,15 @@ class TestFlatEdges:
         with pytest.raises(AttributeError, match="immutable"):
             h.n = 5
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_degrees_immutable(self, k):
+        # a write to degrees would change every later container and the
+        # engine's memo key: like every per-vertex index it is a tuple
+        h = new_hypergraph(5, k, [range(k)])
+        with pytest.raises(TypeError):
+            h.degrees[0] = 99
+        assert h.degrees == (1,) * k + (0,) * (5 - k)
+
 
 class TestLogScale:
     def test_log_size_zero(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -10,6 +11,7 @@ from hypercontainers.core import (
     cmp_log,
     is_bounded,
     is_homogeneous,
+    log_size,
     new_hypergraph,
     nabla,
     vertex_fiber,
@@ -25,7 +27,7 @@ from hypercontainers.engine import (
     print_union,
 )
 from hypercontainers.instances import gen_ap, gen_random
-from hypercontainers.verify import enumerate_independent_sets, verify
+from hypercontainers.verify import enumerate_independent_sets, sample_independent_sets, verify
 
 from conftest import limit_cmp_log, random_hypergraph
 from reference import h_minus, section
@@ -521,3 +523,56 @@ def test_child_inherits_mode_and_reports_fallback(monkeypatch, mode):
     else:
         child.fingerprint_expanding(f)
         assert ctx.heuristic_used
+
+
+def test_one_oracle_call_per_covered_fingerprint(monkeypatch):
+    # 4091 of the 4096 vertices are isolated, so a sampled set is nearly
+    # all of X: every candidate that adds an isolated vertex has the fiber
+    # of the vertices H covers, already memoized, and F = {} needs none
+    calls = []
+    real = engine.max_bounded_size
+    monkeypatch.setattr(engine, "max_bounded_size",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    h = Hypergraph(4096, 5, ((0, 1, 2, 3, 4),))
+    ctx = EngineContext(h, derive_params(5, 0.3, 0.3, h.n))
+    text = verify(ctx, sample_independent_sets(h, 1, 0)).to_text()
+    assert len(calls) <= 8
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bf1682c6476e42f3e8221b15cac2405406e5e3b8d50f0e160989e3a2b420336e")
+
+
+@st.composite
+def _uncovered_cases(draw):
+    """A k-uniform hypergraph (k = 2, 3, 4) on the vertices below m, inside
+    X = [0, n) with n = m or 1024, a fingerprint drawn from the vertices
+    below m, n - 1 and the two just outside X, a non-empty set of vertices
+    that H does not cover, -1 and n among them, and parameters."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(k + 1, 9))
+    n = draw(st.sampled_from([m, 1024]))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(m), k))),
+                          max_size=12, unique=True))
+    h = Hypergraph(n, k, tuple(sorted(edges)))
+    f = draw(st.frozensets(st.integers(-1, m - 1) | st.just(n - 1) | st.just(n),
+                           max_size=4))
+    uncovered = [-1, n, *(v for v in range(m) if not h.degrees[v])]
+    extra = draw(st.frozensets(st.sampled_from(uncovered), min_size=1, max_size=3))
+    pi, eps = draw(st.sampled_from([(0.8, 0.1), (0.8, 0.3), (0.6, 0.5), (0.4, 0.1)]))
+    return h, f, extra, pi, eps
+
+
+@given(case=_uncovered_cases())
+@settings(max_examples=200, deadline=None)
+def test_predicates_match_definitions_with_uncovered_vertices(case):
+    # H_F reads only the vertices of F that H covers: adding uncovered
+    # vertices (or vertices outside X) to F keeps |H_F|_delta', so
+    # expanding keeps its value and expansive moves only with log|F|
+    h, f, extra, pi, eps = case
+    ctx = _ctx(h, pi, eps)
+    p = ctx.params
+    size = max_bounded_size(vertex_fiber(h, f), p.delta_p)
+    expanding = cmp_log(size, 1 + (p.k - 2) * p.delta_p - p.eps_p, h.n) >= 0
+    for g in (f, f | extra):
+        tau = log_size(len(g), h.n) + (p.k - 1) * p.delta_p - p.eps_tilde
+        assert ctx.fingerprint_expanding(g) == expanding
+        assert ctx.fingerprint_expansive(g) == (cmp_log(size, tau, h.n) >= 0)

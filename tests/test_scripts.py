@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from hypercontainers import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -36,14 +38,14 @@ def test_invalid_count_flag_exit_2(sweep, monkeypatch, capsys, flag, value):
 
 def test_failed_condition_exit_1(sweep, monkeypatch, capsys):
     # one failed condition on one trial is enough
-    verify, reports = sweep.verify, []
+    verify, reports = cli.verify, []
 
     def fail_first_cond_iii(ctx, sets, **kw):
         reports.append(verify(ctx, sets, **kw))
         reports[0].cond_iii = False
         return reports[-1]
 
-    monkeypatch.setattr(sweep, "verify", fail_first_cond_iii)
+    monkeypatch.setattr(cli, "verify", fail_first_cond_iii)
     assert _run(sweep, monkeypatch, "--trials", "2") == 1
     assert "cond_iii = 1/2" in capsys.readouterr().out
 
