@@ -44,27 +44,27 @@ class OracleSizeError(RuntimeError):
     """Exact mode refused: instance exceeds the configured edge cap."""
 
 
-def _bmatching(edges: list[Edge], cap: int, lex: bool) -> list[Edge]:
-    """A maximum set of edges of a simple graph with every vertex in at
-    most cap of them; with lex, the lexicographically least one."""
+def _bmatching(hp: Hypergraph, cap: int, lex: bool) -> list[Edge]:
+    """A maximum set of edges of the simple graph hp with every vertex in
+    at most cap of them; with lex, the lexicographically least one."""
     import networkx as nx
 
-    deg = codegrees(edges, 1)
+    deg = codegrees(hp, 1)
     g = nx.Graph()
-    for idx, (u, v) in enumerate(edges):
+    for idx, (u, v) in enumerate(hp.edges):
         # exact: networkx keeps integer weights integral
-        w = 1 << (len(edges) - 1 - idx) if lex else 1
+        w = 1 << (len(hp) - 1 - idx) if lex else 1
         eu, ev = ("e", idx, 0), ("e", idx, 1)
         g.add_edge(eu, ev, weight=w)
-        for i in range(min(cap, deg[(u,)])):
+        for i in range(min(cap, deg[u])):
             g.add_edge(eu, ("v", u, i), weight=w)
-        for i in range(min(cap, deg[(v,)])):
+        for i in range(min(cap, deg[v])):
             g.add_edge(ev, ("v", v, i), weight=w)
     matching = nx.max_weight_matching(g, maxcardinality=True)
     # an edge is kept iff both its gadget ends are matched to vertex copies
     hits = Counter(a[1] if a[0] == "e" else b[1]
                    for a, b in matching if a[0] != b[0])
-    return [e for idx, e in enumerate(edges) if hits[idx] == 2]
+    return [e for idx, e in enumerate(hp.edges) if hits[idx] == 2]
 
 
 def _subsets(e: Edge, caps: tuple[int, ...]) -> list[tuple[Edge, int]]:
@@ -82,7 +82,7 @@ def _admit(counts: dict[Edge, int], subs: list[tuple[Edge, int]]) -> bool:
     return True
 
 
-def _bnb_max(edges: list[Edge], caps: tuple[int, ...]) -> tuple[Edge, ...]:
+def _bnb_max(edges: tuple[Edge, ...], caps: tuple[int, ...]) -> tuple[Edge, ...]:
     """Branch-and-bound, include-first in canonical order.
 
     Updating the incumbent only on strict improvement makes the first
@@ -119,7 +119,7 @@ def _bnb_max(edges: list[Edge], caps: tuple[int, ...]) -> tuple[Edge, ...]:
 def _own_witness(hp: Hypergraph, caps: tuple[int, ...]) -> bool:
     """Each level's codegree maximum within its cap, up to the first over
     (not is_bounded: at k = 2 its degrees build an n-sized index per fiber)."""
-    return all(max(codegrees(hp.edges, ell).values(), default=0) <= cap
+    return all(max(codegrees(hp, ell).values(), default=0) <= cap
                for ell, cap in enumerate(caps, 1))
 
 
@@ -130,14 +130,13 @@ def _max_witness(hp: Hypergraph, delta: float, exact_cap: int,
     caps = level_caps(hp.n, hp.k, delta)
     if _own_witness(hp, caps):
         return hp
-    edges = list(hp.edges)
     if hp.k == 2:
-        witness = _bmatching(edges, caps[0], lex)
-    elif len(edges) > exact_cap:
+        witness = _bmatching(hp, caps[0], lex)
+    elif len(hp) > exact_cap:
         raise OracleSizeError(
-            f"{len(edges)} edges exceeds exact-mode cap {exact_cap}")
+            f"{len(hp)} edges exceeds exact-mode cap {exact_cap}")
     else:
-        witness = _bnb_max(edges, caps)
+        witness = _bnb_max(hp.edges, caps)
     return Hypergraph(hp.n, hp.k, tuple(witness))
 
 

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, repeat
-from operator import eq, index, le
+from operator import add, eq, index, le, mul
 from typing import Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
@@ -174,8 +174,8 @@ class Hypergraph:
     @cached_property
     def max_degrees(self) -> tuple[int, ...]:
         """Delta_ell for ell = 1, ..., k-1: level 1 from the degrees, one
-        codegree pass for each level above it."""
-        return tuple(max(codegrees(self.edges, ell).values(), default=0) if ell > 1
+        codegree pass (codegrees, keyed by codes) for each level above it."""
+        return tuple(max(codegrees(self, ell).values(), default=0) if ell > 1
                      else max(self.degrees, default=0)
                      for ell in range(1, self.k))
 
@@ -249,10 +249,41 @@ def vertex_fiber(h: Hypergraph, f: Iterable[int]) -> Hypergraph:
     return Hypergraph(h.n, h.k - 1, tuple(sorted(out)))
 
 
-def codegrees(edges: Iterable[Edge], ell: int) -> dict[Edge, int]:
-    """ell-set -> number of the given edges containing it, for every
-    ell-set of positive degree."""
-    return Counter(chain.from_iterable(map(combinations, edges, repeat(ell))))
+def _code(e: Edge, n: int) -> int:
+    """The int that a sorted set e stands as: its vertices as the digits
+    of a base-n number, so codes of sets of one size sort as the tuples do."""
+    c = 0
+    for v in e:
+        c = c * n + v
+    return c
+
+
+def _decode(c: int, n: int, k: int) -> Edge:
+    """The sorted k-set whose _code is c."""
+    e = [0] * k
+    for i in reversed(range(k)):
+        c, e[i] = divmod(c, n)
+    return tuple(e)
+
+
+def codegrees(h: Hypergraph, ell: int) -> Counter[int]:
+    """_code of an ell-set -> number of edges of h containing it, for
+    every ell-set of positive degree.  No tuple is made per subset: at
+    k = 3, ell = 2 one loop over the edges codes their three pairs, and
+    otherwise the codes are summed column by column over zip(*edges)."""
+    n = h.n
+    if h.k == 3 and ell == 2:
+        codes: list[int] = []
+        for a, b, c in h.edges:
+            codes += (a * n + b, a * n + c, b * n + c)
+        return Counter(codes)
+    counts: Counter[int] = Counter()
+    for cols in combinations(zip(*h.edges), ell):
+        codes = cols[0] if cols else repeat(0, len(h))
+        for col in cols[1:]:
+            codes = map(add, map(mul, codes, repeat(n)), col)
+        counts.update(codes)
+    return counts
 
 
 def max_degree(h: Hypergraph, ell: int) -> int:
@@ -297,5 +328,5 @@ def nabla(hp: Hypergraph, t: int, delta: float) -> frozenset[Edge]:
     if not 1 <= t < hp.k:
         raise HypergraphError(f"nabla level {t} out of range for k={hp.k}")
     tau = (hp.k - t) * delta
-    return frozenset(u for u, d in codegrees(hp.edges, t).items()
+    return frozenset(_decode(c, hp.n, t) for c, d in codegrees(hp, t).items()
                      if cmp_log(d, tau, hp.n) >= 0)

@@ -19,7 +19,8 @@ from operator import eq, lt, ne
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
-from .core import Edge, Hypergraph, HypergraphError, check_shape, edge_tuples, level_caps
+from .core import (Edge, Hypergraph, HypergraphError, _code, _decode, check_shape, edge_tuples,
+                   level_caps)
 
 
 class FormatError(ValueError):
@@ -49,23 +50,6 @@ def _pool_max(k: int) -> int:
     return setsize
 
 
-def _code(e: Edge, n: int) -> int:
-    """The int that a sorted k-set e stands as: its vertices as the digits
-    of a base-n number, so codes sort as the tuples do."""
-    c = 0
-    for v in e:
-        c = c * n + v
-    return c
-
-
-def _decode(c: int, n: int, k: int) -> Edge:
-    """The sorted k-set whose _code is c."""
-    e = [0] * k
-    for i in reversed(range(k)):
-        c, e[i] = divmod(c, n)
-    return tuple(e)
-
-
 def _word_block(rng: random.Random) -> array:
     """The next _BLOCK_WORDS 32-bit outputs of rng, in the order that
     getrandbits(32) would return them one by one: getrandbits(32 * W)
@@ -75,8 +59,8 @@ def _word_block(rng: random.Random) -> array:
 
 
 def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
-    """Endless _codes of the k-sets tuple(sorted(rng.sample(range(n), k)))
-    draws, for n < 2^32.
+    """Endless codes (core._code) of the k-sets
+    tuple(sorted(rng.sample(range(n), k))) draws, for n < 2^32.
 
     Up to _pool_max(k), where sample draws from a shrinking pool, the
     sets are sample's own.  Above it sample draws getrandbits(bits) with
@@ -200,8 +184,8 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
     be below 2^32, and the candidate count at most 2^31.
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
-    in a loop on random.Random(seed), each held as its _code
-    (_kset_codes), and the distinct ones are kept in a sorted list
+    in a loop on random.Random(seed), each held as its code (core._code,
+    drawn by _kset_codes), and the distinct ones are kept in a sorted list
     (_first_distinct).  At k = 2 and k = 3 they are kept by
     greedy_bounded_sub's rule in the same sorted order, with degrees
     counted in a list and pair codegrees in a dict keyed by pair codes

@@ -9,6 +9,7 @@ runs with identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import index
@@ -210,15 +211,17 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         if iset and (min(iset) < 0 or max(iset) >= h.n):
             raise ValueError(f"supplied set {_set_str(iset)} has a vertex "
                              f"outside [0, {h.n})")
-        # at k = 2, I is independent when no neighbour of I is in I; an
-        # edge inside I passes through a vertex of I, so the least one is
-        # found among the edges through I's vertices
+        # at k = 2, I is independent when no neighbour of I is in I.  Else
+        # an edge inside I has its least vertex v in I: scanning I upwards,
+        # each edge is tested once, in the suffix of the edges through v
+        # that start at v, and the first found is the least
         if h.k != 2 or not iset.isdisjoint(
                 chain.from_iterable(map(h.neighbours.__getitem__, iset))):
-            e = min((e for v in iset for e in h.edges_through(v) if iset.issuperset(e)),
-                    default=None)
-            if e is not None:
-                raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
+            for v in sorted(iset):
+                through = h.edges_through(v)
+                e = next(filter(iset.issuperset, through[bisect_left(through, (v,)):]), None)
+                if e is not None:
+                    raise NotIndependentError(f"supplied set {_set_str(iset)} contains edge {e}")
         samples += 1
         try:
             prnt = ctx.print_of(iset)

@@ -12,6 +12,8 @@ from hypercontainers.core import (
     Hypergraph,
     HypergraphError,
     NEG_INF,
+    _code,
+    _decode,
     check_shape,
     cmp_log,
     is_bounded,
@@ -429,12 +431,30 @@ def test_section_covers_partition(h):
 
 @given(hypergraphs(k_max=4))
 @example(new_hypergraph(5, 3, []))
+# a k = 3 pair of codegree 2 (the pair route) and a k = 4 graph (columns)
+@example(new_hypergraph(5, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 4)]))
+@example(new_hypergraph(6, 4, [(0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 4, 5)]))
 @settings(max_examples=60, deadline=None)
 def test_codegrees_match_reference(h):
-    # same counts in the same key order, at every level including 0 and k
+    # the same counts under the decoded keys, at every level including 0 and k
     for ell in range(h.k + 1):
-        got = core.codegrees(h.edges, ell)
-        assert list(got.items()) == list(reference.codegrees(h.edges, ell).items())
+        counts = core.codegrees(h, ell)
+        got = {_decode(c, h.n, ell): d for c, d in counts.items()}
+        assert len(got) == len(counts)
+        assert got == reference.codegrees(h.edges, ell)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_code_rule(data):
+    # one code rule: _decode inverts _code, and codes sort as the tuples do
+    n = data.draw(st.integers(2, 50))
+    ell = data.draw(st.integers(0, min(n, 4)))
+    sets = st.sets(st.integers(0, n - 1), min_size=ell, max_size=ell).map(sorted).map(tuple)
+    u, w = data.draw(sets), data.draw(sets)
+    assert _decode(_code(u, n), n, ell) == u
+    cu, cw = _code(u, n), _code(w, n)
+    assert ((cu > cw) - (cu < cw)) == ((u > w) - (u < w))
 
 
 @given(hypergraphs(k_max=4))
