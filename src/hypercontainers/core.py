@@ -6,11 +6,11 @@ everything downstream that scans edges "in canonical order") is
 deterministic.  A hypergraph may instead hold them as one flat array of
 their vertices in that order (see Hypergraph).
 
-All size thresholds in this package are of the form  |S| >= n^tau  with an
-integer left-hand side.  They are evaluated by comparing log_n|S| against
-tau with a small absolute tolerance (LOG_TOL); results may flip for
-instances within ~1 ULP of an exact tie, so test fixtures are kept away
-from ties.  The convention log 0 = -inf is used throughout.
+Every size threshold in this package, |S| >= n^tau or |S| <= n^tau for an
+integer |S|, is one integer cap, pow_ceil or pow_floor: taken under the
+rule of cmp_log, which compares log_n|S| with tau within an absolute
+tolerance (LOG_TOL), and memoised at _bisect, which bisects each (n, tau)
+once.  The convention log 0 = -inf is used throughout.
 """
 from __future__ import annotations
 
@@ -63,10 +63,12 @@ def cmp_log(count: int, tau: float, n: int) -> int:
     return -1 if d < 0 else 1
 
 
+@lru_cache(maxsize=1024)
 def _bisect(n: int, tau: float, top: int) -> int:
     """The largest d >= 0 with cmp_log(d, tau, n) < top, by bisection from 0, where
-    it holds for tau > NEG_INF, to hi, where it fails (log_n hi >= tau + 1/log2 n)."""
-    lo, hi = 0, 1 << max(math.ceil(tau * math.log2(n)) + 1, 0)
+    it holds for tau > NEG_INF, to hi, where it fails (log_n hi >= tau + 1/log2 n;
+    hi = 1 for tau <= -1, so tau is raised to -1, which keeps tau log2 n finite)."""
+    lo, hi = 0, 1 << max(math.ceil(max(tau, -1.0) * math.log2(n)) + 1, 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if cmp_log(mid, tau, n) < top else (lo, mid)
@@ -304,10 +306,9 @@ def ldeg(h: Hypergraph) -> float:
     return min(max(logs, default=0.0), 1.0)
 
 
-@lru_cache(maxsize=1024)
 def level_caps(n: int, k: int, delta: float) -> tuple[int, ...]:
     """The integer caps d <= n^((k-ell) delta) of levels ell = 1, ..., k-1, in
-    order; memoised, as every oracle call reads them, so a tuple."""
+    order, each from _bisect's memo."""
     return tuple(pow_floor(n, (k - ell) * delta) for ell in range(1, k))
 
 
@@ -317,16 +318,15 @@ def is_bounded(h: Hypergraph, delta: float) -> bool:
 
 
 def is_homogeneous(h: Hypergraph, delta: float, eps: float) -> bool:
-    """delta-bounded and log_n|h| >= 1 + (k-1) delta - eps."""
+    """delta-bounded and |h| >= n^(1 + (k-1) delta - eps)."""
     if not is_bounded(h, delta):
         return False
-    return cmp_log(len(h), 1 + (h.k - 1) * delta - eps, h.n) >= 0
+    return len(h) >= pow_ceil(h.n, 1 + (h.k - 1) * delta - eps)
 
 
 def nabla(hp: Hypergraph, t: int, delta: float) -> frozenset[Edge]:
-    """All t-sets u with log_n deg(u) >= (k'-t) delta in hp."""
+    """All t-sets u with deg(u) >= n^((k'-t) delta) in hp."""
     if not 1 <= t < hp.k:
         raise HypergraphError(f"nabla level {t} out of range for k={hp.k}")
-    tau = (hp.k - t) * delta
-    return frozenset(_decode(c, hp.n, t) for c, d in codegrees(hp, t).items()
-                     if cmp_log(d, tau, hp.n) >= 0)
+    cap = pow_ceil(hp.n, (hp.k - t) * delta)
+    return frozenset(_decode(c, hp.n, t) for c, d in codegrees(hp, t).items() if d >= cap)

@@ -39,10 +39,10 @@ from .core import (
     Hypergraph,
     HypergraphError,
     check_shape,
-    cmp_log,
     log_size,
     nabla,
     pow_ceil,
+    pow_floor,
     vertex_fiber,
 )
 
@@ -181,11 +181,10 @@ class EngineContext:
         return hit
 
     def fingerprint_expanding(self, f) -> bool:
-        """F is expanding: log |H_F|_{delta'} >= 1 + (k-2) delta' - eps'.
+        """F is expanding: |H_F|_{delta'} >= n^(1 + (k-2) delta' - eps').
         The empty set never is (|H_F| = 0)."""
         p = self.params
-        return cmp_log(self._bounded_fiber_size(f),
-                       1 + (p.k - 2) * p.delta_p - p.eps_p, p.n) >= 0
+        return self._bounded_fiber_size(f) >= pow_ceil(p.n, 1 + (p.k - 2) * p.delta_p - p.eps_p)
 
     def fingerprint_expansive(self, f) -> bool:
         """The per-element growth inequality:
@@ -194,7 +193,7 @@ class EngineContext:
         fs = frozenset(f)
         p = self.params
         tau = log_size(len(fs), p.n) + (p.k - 1) * p.delta_p - p.eps_tilde
-        return cmp_log(self._bounded_fiber_size(fs), tau, p.n) >= 0
+        return self._bounded_fiber_size(fs) >= pow_ceil(p.n, tau)
 
     # -- recursion ---------------------------------------------------------
 
@@ -228,12 +227,12 @@ class EngineContext:
         if h.k == 1:
             return ()
         f: Fingerprint = frozenset()
+        cap = pow_floor(p.n, p.pi)  # |F| <= n^pi
         while not self.fingerprint_expanding(f):
             grown = False
             for x in sorted(iset - f):
                 cand = f | {x}
-                if (cmp_log(len(cand), p.pi, p.n) <= 0
-                        and self.fingerprint_expansive(cand)):
+                if len(cand) <= cap and self.fingerprint_expansive(cand):
                     f, grown = cand, True
                     if self.fingerprint_expanding(f):
                         break

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import index
 
-from .core import Hypergraph, NEG_INF, cmp_log, is_bounded, is_homogeneous, ldeg, log_size
+from .core import (Hypergraph, NEG_INF, is_bounded, is_homogeneous, ldeg, log_size,
+                   pow_ceil, pow_floor)
 from .engine import EngineError, NotIndependentError, Params, Print, print_union
 
 DEFAULT_ENUM_CAP = 20
@@ -199,6 +200,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         raise ValueError(f"jobs must be 1, got {jobs}")
     h, p = ctx.h, ctx.params
     x = frozenset(h.vertices)
+    pi_cap = pow_floor(h.n, p.pi)  # |F| <= n^pi
     samples = 0
     cond_i = cond_ii = cond_iii = True
     iii_counter = ""
@@ -228,7 +230,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         except EngineError:
             cond_i = False
             continue
-        if len(prnt) >= h.k or any(cmp_log(len(f), p.pi, h.n) > 0 for f in prnt):
+        if len(prnt) >= h.k or any(len(f) > pi_cap for f in prnt):
             cond_i = False
         cont = print_containers.get(prnt)
         if cont is None:
@@ -253,7 +255,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     cond_iv = True
     iv_counter = ""
     for (c, size), lv in zip(comp.items(), comp_logs):
-        if cmp_log(size, 1 - p.sigma, h.n) < 0:
+        if size < pow_ceil(h.n, 1 - p.sigma):
             cond_iv = False
             iv_counter = f"C={_set_str(c)} log_complement={_fmt(lv)}"
             break
@@ -270,8 +272,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
                 size = comp[cont]
                 diag_min = size if diag_min < 0 else min(diag_min, size)
                 # |X \ C| >= n^(1-eps) / 4
-                if cmp_log(4 * size, 1 - p.eps, h.n) < 0:
-                    quarter_ok = False
+                quarter_ok &= 4 * size >= pow_ceil(h.n, 1 - p.eps)
         if diag_n and p.hyp_eps_ok and p.hyp_pi_ok:
             diag_quarter = "true" if quarter_ok else "false"
 

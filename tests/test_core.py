@@ -173,10 +173,12 @@ class TestLogScale:
 
     @pytest.mark.parametrize("n, tau, least", [(16, 0.5, 4), (16, 0.25, 2), (16, -0.3, 1),
                                                (1024, 0.1, 2), (1024, 0.35, 12),
-                                               (10, 0.0, 1), (10, NEG_INF, 0)])
+                                               (10, 0.0, 1), (10, NEG_INF, 0),
+                                               (1024, -1e308, 1)])
     def test_pow_ceil_is_the_per_count_threshold(self, n, tau, least):
         # d < pow_ceil(n, tau) iff cmp_log(d, tau, n) < 0, ties at 16^0.5 = 4
-        # and 16^0.25 = 2 included, and 1 for a negative tau
+        # and 16^0.25 = 2 included, and 1 for a negative tau, also one
+        # whose tau log2 n is below any float (condition (iv) at a wide k)
         assert pow_ceil(n, tau) == least
         assert all((d < least) == (cmp_log(d, tau, n) < 0) for d in range(n + 1))
 
@@ -192,10 +194,15 @@ _TIE_OFFSETS = (0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12)
 @example(16, 4, 0.0, 0.0)
 def test_pow_floor_and_ceil_match_the_scan(n, d, off, scale):
     # tau = log_n d + off, a tie of d within LOG_TOL or just past it;
-    # tau = scale log_n d, negative for scale < 0; and NEG_INF
+    # tau = scale log_n d, negative for scale < 0; and NEG_INF.  Next to
+    # d and to each cap, cmp_log's rule is one integer comparison
     for tau in (log_size(d, n) + off, scale * log_size(d, n), NEG_INF):
-        assert pow_floor(n, tau) == reference.pow_floor(n, tau)
-        assert pow_ceil(n, tau) == reference.pow_ceil(n, tau)
+        floor, ceil = pow_floor(n, tau), pow_ceil(n, tau)
+        assert floor == reference.pow_floor(n, tau)
+        assert ceil == reference.pow_ceil(n, tau)
+        for x in {d - 1, d, d + 1, floor, floor + 1, ceil - 1, ceil} - {-1}:
+            assert (cmp_log(x, tau, n) >= 0) == (x >= ceil)
+            assert (cmp_log(x, tau, n) <= 0) == (x <= floor)
 
 
 @given(st.integers(2, 1 << 64), st.floats(-2.0, 20.0))

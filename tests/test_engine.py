@@ -414,11 +414,13 @@ class TestContainerOf:
 
     def test_huge_threshold_takes_o_log_steps(self, monkeypatch):
         # n^tau = 2^73.2 for the H^- degree threshold here: found by
-        # bisection in core, not one step at a time
+        # bisection in core, not one step at a time, as are the expanding
+        # cap (2^62.4) and nabla's caps on the 5-uniform fiber, t = 1, ..., 4
         h = Hypergraph(1 << 16, 6, ((0, 1, 2, 3, 4, 5),))
         p = derive_params(6, 0.0, 0.3, h.n)
-        tau = (p.k - 1) * p.delta_p - p.eps_tilde
-        limit_cmp_log(monkeypatch, 2 * (tau * 16 + 2))
+        taus = [(p.k - 1) * p.delta_p - p.eps_tilde, 1 + (p.k - 2) * p.delta_p - p.eps_p,
+                *((p.k - 1 - t) * p.delta for t in range(1, p.k - 1))]
+        limit_cmp_log(monkeypatch, sum(2 * (tau * 16 + 2) for tau in taus))
         assert EngineContext(h, p).container_of((frozenset(),)) == set(range(h.n))
 
     def test_container_matches_brute_force_formula(self):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import low_degree_singletons
-from hypercontainers.core import Hypergraph, new_hypergraph
+from hypercontainers.core import Hypergraph, new_hypergraph, pow_ceil, pow_floor
 from hypercontainers.engine import (
     EngineContext,
     EngineError,
@@ -492,6 +492,17 @@ def test_stub_printing_the_whole_set_fails_i(cut):
     assert max(map(len, sets)) > 2048 ** 0.75 and min(map(len, sets)) > 1
     rep = verify(_WholeSetPrint(h, derive_params(2, 0.75, 0.4, h.n), cut), sets)
     assert _flipped(rep, "random2048_k2_strict") == {"cond_i"}
+
+
+@pytest.mark.parametrize("size, ok", [(4, True), (5, False)])
+def test_condition_i_at_a_tie(size, ok):
+    # log_16 4 = 0.5 exactly, so n^pi is the integer 4 at pi = 0.5: a
+    # fingerprint of 4 vertices has at most n^pi of them, one of 5 has more
+    assert pow_floor(16, 0.5) == pow_ceil(16, 0.5) == 4
+    h = Hypergraph(16, 2, ())
+    whole = _WholeSetPrint(h, derive_params(2, 0.5, 0.1, 16), lambda i: (frozenset(i),))
+    rep = verify(whole, [range(size)])
+    assert (rep.cond_i, rep.cond_ii, rep.cond_iii, rep.cond_iv) == (ok, True, True, True)
 
 
 @cache
