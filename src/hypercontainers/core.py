@@ -85,6 +85,14 @@ def pow_ceil(n: int, tau: float) -> int:
     return 0 if tau == NEG_INF else _bisect(n, tau, 0) + 1
 
 
+@lru_cache(maxsize=1)
+def vertex_pool(n: int) -> tuple[int, ...]:
+    """(0, 1, ..., n - 1), one tuple for the last n asked: the vertex sets
+    and indexes built from it share one int object per vertex, where each
+    int read out of an array or range is a new one."""
+    return tuple(range(n))
+
+
 class Hypergraph:
     """A k-uniform hypergraph on vertex set {0, ..., n-1}.
 
@@ -150,8 +158,7 @@ class Hypergraph:
         if self.k != 2:
             raise HypergraphError(f"neighbours needs k = 2, got k={self.k}")
         nb: list[list[int]] = [[] for _ in range(self.n)]
-        # each int read out of an array is a new object: share one a vertex
-        it = map(list(range(self.n)).__getitem__, self.edge_vertices())
+        it = map(vertex_pool(self.n).__getitem__, self.edge_vertices())
         for a, b in zip(it, it):  # edges ascend, so every list does too
             nb[a].append(b)
             nb[b].append(a)

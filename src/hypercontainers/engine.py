@@ -18,13 +18,15 @@ Both print_of and container_of are pure functions of (hypergraph,
 parameters, mode): every choice point is resolved by canonical vertex or
 edge order.  |H_F|_delta' is memoized by the vertices of F that H covers,
 the only ones H_F depends on, and the child contexts on the G_F by F.
+Every container is built from core.vertex_pool, so the containers of a
+run share one int object per vertex.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse
 
 from .bounded import (
     DEFAULT_EXACT_CAP,
@@ -44,6 +46,7 @@ from .core import (
     pow_ceil,
     pow_floor,
     vertex_fiber,
+    vertex_pool,
 )
 
 Fingerprint = frozenset[int]
@@ -250,6 +253,8 @@ class EngineContext:
         if h.k < 2:
             raise EngineError("h_minus needs k >= 2")
         hf = vertex_fiber(h, frozenset(f))
+        if not len(hf):  # an H_F with no edge marks no subset
+            return set()
         # H_F is (k-1)-uniform, so nabla's threshold is (k-1-t) delta
         marked = frozenset(hf.edges).union(*(nabla(hf, t, p.delta) for t in range(1, h.k - 1)))
         near = {e for v in hf.covered_vertices() for e in h.edges_through(v)}
@@ -267,7 +272,7 @@ class EngineContext:
         if h.k == 1:
             if len(prnt) != 0:
                 raise PrintDomainError("only the empty print is valid at k = 1")
-            return frozenset(h.vertices) - h.covered_vertices()
+            return frozenset(filterfalse(h.covered_vertices().__contains__, vertex_pool(h.n)))
         if len(prnt) == 0:
             raise PrintDomainError("empty print is outside the domain at k >= 2")
         f0 = prnt[0]
@@ -280,7 +285,7 @@ class EngineContext:
         # deg_H(x) - lost(x), the edges of H^ through x
         lost = Counter(chain.from_iterable(self.h_minus(f0)))
         cap = pow_ceil(h.n, (p.k - 1) * p.delta_p - p.eps_tilde)
-        return frozenset(x for x, d in enumerate(h.degrees) if d - lost[x] < cap)
+        return frozenset(x for x, d in zip(vertex_pool(h.n), h.degrees) if d - lost[x] < cap)
 
 
 def print_union(prnt: Print) -> frozenset[int]:

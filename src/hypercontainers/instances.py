@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .bounded import greedy_bounded_sub
 from .core import (Edge, Hypergraph, HypergraphError, _code, _decode, check_shape, edge_tuples,
-                   level_caps)
+                   level_caps, vertex_pool)
 
 
 class FormatError(ValueError):
@@ -111,7 +111,8 @@ def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
 
 
 def _first_distinct(codes: Iterator[int], target: int) -> list[int]:
-    """The first target distinct codes, sorted.
+    """The first target distinct codes, sorted (k != 2; gen_random draws
+    pairs into buckets, _pair_buckets).
 
     They are kept in a sorted list, not a set, for memory: the first
     target codes sorted, without repeats, then while d are missing the
@@ -130,19 +131,48 @@ def _first_distinct(codes: Iterator[int], target: int) -> list[int]:
     return ordered
 
 
-def _greedy_pairs(n: int, ordered: list[int], cap: int) -> array:
-    """greedy_bounded_sub at k = 2 over the sorted pair codes a * n + b:
-    keep (a, b) iff both a and b are in fewer than cap kept pairs.  The
-    kept pairs are returned as one flat array of their vertices."""
+def _pair_buckets(codes: Iterator[int], n: int, target: int) -> list[array]:
+    """The first target distinct pair codes a * n + b, by _first_distinct's
+    rule, held as one bucket a vertex: the b's of a, an array("i"),
+    ascending.  Each bucket is sorted and deduplicated once after the
+    first target codes; a new code drawn to top up is inserted in place,
+    so a round of d draws still ends where a set of the codes would."""
+    buckets = [array("i") for _ in range(n)]
+    for c in islice(codes, target):
+        a, b = divmod(c, n)
+        buckets[a].append(b)
+    for a, bucket in enumerate(buckets):
+        buckets[a] = array("i", sorted(set(bucket)))
+    missing = target - sum(map(len, buckets))
+    while missing:
+        for c in islice(codes, missing):
+            a, b = divmod(c, n)
+            bucket = buckets[a]
+            i = bisect_left(bucket, b)
+            if i == len(bucket) or bucket[i] != b:
+                bucket.insert(i, b)
+                missing -= 1
+    return buckets
+
+
+def _greedy_pairs(n: int, buckets: list[array], cap: int) -> array:
+    """greedy_bounded_sub at k = 2 over the pairs of _pair_buckets, walked
+    in (a, b) order: keep (a, b) iff both a and b are in fewer than cap
+    kept pairs, and leave a's bucket once a is in cap.  The kept pairs
+    are returned as one flat array of their vertices; buckets is emptied
+    (each entry set to None) on the way."""
     deg = [0] * n
     kept = array("i")
-    for c in ordered:
-        a, b = divmod(c, n)
-        if deg[a] < cap and deg[b] < cap:
-            deg[a] += 1
-            deg[b] += 1
-            kept.append(a)
-            kept.append(b)
+    for a in range(n):
+        bucket, buckets[a] = buckets[a], None  # freed once walked
+        for b in bucket:
+            if deg[a] >= cap:
+                break
+            if deg[b] < cap:
+                deg[a] += 1
+                deg[b] += 1
+                kept.append(a)
+                kept.append(b)
     return kept
 
 
@@ -156,7 +186,7 @@ def _greedy_triples(n: int, ordered: list[int], cap1: int,
     deg = [0] * n
     pairs: dict[int, int] = {}
     count = pairs.get
-    vertex = list(range(n))
+    vertex = vertex_pool(n)
     kept = []
     for code in ordered:
         ab, c = divmod(code, n)
@@ -185,14 +215,15 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
     in a loop on random.Random(seed), each held as its code (core._code,
-    drawn by _kset_codes), and the distinct ones are kept in a sorted list
-    (_first_distinct).  At k = 2 and k = 3 they are kept by
-    greedy_bounded_sub's rule in the same sorted order, with degrees
-    counted in a list and pair codegrees in a dict keyed by pair codes
-    (_greedy_pairs, _greedy_triples), so no tuple is made for a candidate
-    that is not kept, and at k = 2 none at all: the kept pairs form the
-    hypergraph's flat edge array.  At k = 1 and k >= 4 the codes are
-    decoded to tuples and trimmed by greedy_bounded_sub itself.
+    drawn by _kset_codes).  At k = 2 the distinct pairs a < b are kept as
+    one array("i") of the b's for each a (_pair_buckets), and otherwise
+    as a sorted list of codes (_first_distinct).  At k = 2 and k = 3 they
+    are kept by greedy_bounded_sub's rule in the same sorted order, with
+    degrees counted in a list and pair codegrees in a dict keyed by pair
+    codes (_greedy_pairs, _greedy_triples), so no tuple is made for a
+    candidate that is not kept, and at k = 2 none at all: the kept pairs
+    form the hypergraph's flat edge array.  At k = 1 and k >= 4 the codes
+    are decoded to tuples and trimmed by greedy_bounded_sub itself.
     eps_target is not read: the output does not depend on it.
     """
     check_shape(n, k)
@@ -210,10 +241,11 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
     check_shape(n, k, target)
-    ordered = _first_distinct(_kset_codes(random.Random(seed), n, k), target)
+    codes = _kset_codes(random.Random(seed), n, k)
     caps = level_caps(n, k, delta_target)
     if k == 2:
-        return Hypergraph(n, k, _greedy_pairs(n, ordered, *caps))
+        return Hypergraph(n, k, _greedy_pairs(n, _pair_buckets(codes, n, target), *caps))
+    ordered = _first_distinct(codes, target)
     if k == 3:
         return Hypergraph(n, k, _greedy_triples(n, ordered, *caps))
     h = Hypergraph(n, k, tuple(_decode(c, n, k) for c in ordered))

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import index
 
 from .core import (Hypergraph, NEG_INF, is_bounded, is_homogeneous, ldeg, log_size,
-                   pow_ceil, pow_floor)
+                   pow_ceil, pow_floor, vertex_pool)
 from .engine import EngineError, NotIndependentError, Params, Print, print_union
 
 DEFAULT_ENUM_CAP = 20
@@ -59,7 +59,7 @@ def enumerate_independent_sets(h: Hypergraph, cap: int = DEFAULT_ENUM_CAP):
 def _shuffled(n: int, rng: random.Random) -> list[int]:
     """list(range(n)) after rng.shuffle, draw for draw: shuffle's getrandbits
     calls are replayed in order, without its per-swap _randbelow call."""
-    order = list(range(n))
+    order = list(vertex_pool(n))
     getrandbits = rng.getrandbits
     for bits in range(n.bit_length(), 1, -1):  # swap i draws (i + 1).bit_length() bits
         for i in range(min(n - 1, (1 << bits) - 2), (1 << (bits - 1)) - 2, -1):
@@ -199,7 +199,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
     h, p = ctx.h, ctx.params
-    x = frozenset(h.vertices)
+    x = frozenset(vertex_pool(h.n))
     pi_cap = pow_floor(h.n, p.pi)  # |F| <= n^pi
     samples = 0
     cond_i = cond_ii = cond_iii = True

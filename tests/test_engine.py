@@ -15,6 +15,7 @@ from hypercontainers.core import (
     new_hypergraph,
     nabla,
     vertex_fiber,
+    vertex_pool,
 )
 from hypercontainers import engine
 from hypercontainers.bounded import OracleSizeError, max_bounded_size
@@ -29,7 +30,7 @@ from hypercontainers.engine import (
 from hypercontainers.instances import gen_ap, gen_random
 from hypercontainers.verify import enumerate_independent_sets, sample_independent_sets, verify
 
-from conftest import limit_cmp_log, random_hypergraph
+from conftest import limit_cmp_log, low_degree_singletons, random_hypergraph
 from reference import h_minus, section
 
 
@@ -290,6 +291,23 @@ class TestHMinus:
             assert set(hat.edges) == expect_hat
             assert set(hm.edges) == set(h.edges) - expect_hat
 
+    # H_F has no edge, on a wide empty input (646-uniform on 16 vertices)
+    # and beside the edges of a path: H^ is empty, and no nabla call takes
+    # a cap for it.  The container keeps every vertex of degree below
+    # n^tau: all 16, and at n = 6, where that cap is 1, the two that the
+    # path misses
+    @pytest.mark.parametrize("h, f, container", [
+        (Hypergraph(16, 646, ()), frozenset({0, 9}), frozenset(range(16))),
+        (Hypergraph(6, 3, ((0, 1, 2), (1, 2, 3))), frozenset({5}), frozenset({4, 5}))])
+    def test_empty_fiber_calls_no_nabla(self, monkeypatch, h, f, container):
+        def refuse(*_args):
+            raise AssertionError("nabla called for an empty fiber")
+
+        monkeypatch.setattr(engine, "nabla", refuse)
+        ctx = _ctx(h, 0.3, 1.0)
+        assert ctx.h_minus(f) == set()
+        assert ctx.container_of((f,)) == container
+
     def test_disjointness_invariant(self):
         rng = random.Random(23)
         for _ in range(10):
@@ -541,6 +559,21 @@ def test_one_oracle_call_per_covered_fingerprint(monkeypatch):
     assert len(calls) <= 8
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bf1682c6476e42f3e8221b15cac2405406e5e3b8d50f0e160989e3a2b420336e")
+
+
+def test_containers_share_the_vertex_pool():
+    # the strict k = 2 regime (sigma = 0.9) through both container routes:
+    # the k = 1 base X \ covered for the sampled sets, H^- for the
+    # low-degree singletons; every vertex is the pool's own int object
+    h = gen_random(16384, 2, 0.25, 0.3, 1)
+    ctx = EngineContext(h, derive_params(h.k, 0.75, 0.3, h.n), mode="strict")
+    sets = [*sample_independent_sets(h, 8, 1), *low_degree_singletons(h, 2)]
+    rep = verify(ctx, sets)
+    assert rep.all_conditions_pass() and rep.diag_nonexpanding_prints == 2
+    assert len(rep.print_containers) > 2
+    pool = vertex_pool(h.n)
+    assert all(v is pool[v] for c in rep.print_containers.values() for v in c)
+    assert all(v is pool[v] for nb in h.neighbours for v in nb)
 
 
 @st.composite

@@ -449,12 +449,14 @@ class TestFileFormat:
 
     def test_k2_instance_is_one_flat_array(self, tmp_path):
         # the benchmark's k = 2 instance, 82,571 edges: as edge tuples it
-        # retained 5.5 MB, as one array("i") of its vertices 0.66 MB
+        # retained 5.5 MB, as one array("i") of its vertices 0.66 MB.  Its
+        # 185,364 candidates peaked at 10.25 MB as a sorted list of int
+        # codes, and at 2.4 MB in per-vertex buckets
         path = tmp_path / "h.hg"
         tracemalloc.start()
         try:
-            h = gen_random(16384, 2, 0.25, 0.3, 1000)
-            generated = tracemalloc.get_traced_memory()[0]
+            h = gen_random(16384, 2, 0.25, None, 1000)
+            generated, drawn = tracemalloc.get_traced_memory()
             write_edge_list(h, path)
             del h
             before = tracemalloc.get_traced_memory()[0]
@@ -464,6 +466,7 @@ class TestFileFormat:
             tracemalloc.stop()
         assert len(h) == 82571
         assert generated < 2 << 20 and read < 2 << 20
+        assert drawn < 5 << 20
 
     @pytest.mark.parametrize("n", [2**31, 2**31 + 1, 2**70])
     def test_vertices_past_32_bits(self, tmp_path, n):
