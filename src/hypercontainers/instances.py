@@ -13,9 +13,10 @@ import random
 import re
 from array import array
 from bisect import bisect_left
+from functools import partial
 from itertools import chain, compress, islice
 from math import comb
-from operator import eq, lt, ne
+from operator import eq, lt
 from typing import Iterator
 
 from .bounded import greedy_bounded_sub
@@ -110,56 +111,43 @@ def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
             yield _code(sorted(s), n)
 
 
-def _first_distinct(codes: Iterator[int], target: int) -> list[int]:
-    """The first target distinct codes, sorted (k != 2; gen_random draws
-    pairs into buckets, _pair_buckets).
+def _buckets(codes: Iterator[int], n: int, k: int, target: int) -> list:
+    """The first target distinct codes (core._code) of codes, held as one
+    bucket a vertex: bucket a holds the remainders c - a * n^(k-1) of the
+    codes c whose least vertex is a, ascending.  A bucket is an
+    array("i") while n^(k-1) <= 2^31, so that every remainder fits, and a
+    list above that.
 
-    They are kept in a sorted list, not a set, for memory: the first
-    target codes sorted, without repeats, then while d are missing the
-    next d codes, of which at most d are new, so the list is complete
-    exactly where a set of the codes would reach target."""
-    ordered = sorted(islice(codes, target))
-    ordered = [*compress(ordered, map(ne, ordered, ordered[1:])), *ordered[-1:]]
-    while len(ordered) < target:
-        new = set()
-        for c in islice(codes, target - len(ordered)):
-            i = bisect_left(ordered, c)
-            if i == len(ordered) or ordered[i] != c:
-                new.add(c)
-        ordered += new
-        ordered.sort()
-    return ordered
-
-
-def _pair_buckets(codes: Iterator[int], n: int, target: int) -> list[array]:
-    """The first target distinct pair codes a * n + b, by _first_distinct's
-    rule, held as one bucket a vertex: the b's of a, an array("i"),
-    ascending.  Each bucket is sorted and deduplicated once after the
-    first target codes; a new code drawn to top up is inserted in place,
-    so a round of d draws still ends where a set of the codes would."""
-    buckets = [array("i") for _ in range(n)]
+    Each bucket is sorted and deduplicated once after the first target
+    codes; then, while d are missing, the next d codes are drawn, of which
+    at most d are new, and each new one is inserted in place, so the
+    buckets are complete exactly where a set of the codes would reach
+    target."""
+    width = n ** (k - 1)
+    store = partial(array, "i") if width <= 1 << 31 else list
+    buckets = [store() for _ in range(n)]
     for c in islice(codes, target):
-        a, b = divmod(c, n)
-        buckets[a].append(b)
+        a, r = divmod(c, width)
+        buckets[a].append(r)
     for a, bucket in enumerate(buckets):
-        buckets[a] = array("i", sorted(set(bucket)))
+        buckets[a] = store(sorted(set(bucket)))
     missing = target - sum(map(len, buckets))
     while missing:
         for c in islice(codes, missing):
-            a, b = divmod(c, n)
+            a, r = divmod(c, width)
             bucket = buckets[a]
-            i = bisect_left(bucket, b)
-            if i == len(bucket) or bucket[i] != b:
-                bucket.insert(i, b)
+            i = bisect_left(bucket, r)
+            if i == len(bucket) or bucket[i] != r:
+                bucket.insert(i, r)
                 missing -= 1
     return buckets
 
 
 def _greedy_pairs(n: int, buckets: list[array], cap: int) -> array:
-    """greedy_bounded_sub at k = 2 over the pairs of _pair_buckets, walked
-    in (a, b) order: keep (a, b) iff both a and b are in fewer than cap
-    kept pairs, and leave a's bucket once a is in cap.  The kept pairs
-    are returned as one flat array of their vertices; buckets is emptied
+    """greedy_bounded_sub at k = 2 over the pairs of _buckets, walked in
+    (a, b) order: keep (a, b) iff both a and b are in fewer than cap kept
+    pairs, and leave a's bucket once a is in cap.  The kept pairs are
+    returned as one flat array of their vertices; buckets is emptied
     (each entry set to None) on the way."""
     deg = [0] * n
     kept = array("i")
@@ -176,33 +164,37 @@ def _greedy_pairs(n: int, buckets: list[array], cap: int) -> array:
     return kept
 
 
-def _greedy_triples(n: int, ordered: list[int], cap1: int,
-                    cap2: int) -> tuple[Edge, ...]:
-    """greedy_bounded_sub at k = 3 over the sorted triple codes
-    (a * n + b) * n + c: keep (a, b, c) iff each of its vertices is in
-    fewer than cap1 kept triples and each of its pairs in fewer than cap2.
-    A pair a < b is counted under a * n + b.  Tuples are built for kept
-    triples only."""
+def _greedy_triples(n: int, buckets: list, cap1: int, cap2: int) -> tuple[Edge, ...]:
+    """greedy_bounded_sub at k = 3 over the triples of _buckets, walked in
+    (a, b, c) order: keep (a, b, c) iff each of its vertices is in fewer
+    than cap1 kept triples and each of its pairs in fewer than cap2, and
+    leave a's bucket once a is in cap1.  A pair a < b is counted under
+    a * n + b.  Tuples are built for kept triples only; buckets is
+    emptied (each entry set to None) on the way."""
     deg = [0] * n
     pairs: dict[int, int] = {}
     count = pairs.get
     vertex = vertex_pool(n)
     kept = []
-    for code in ordered:
-        ab, c = divmod(code, n)
-        a, b = divmod(ab, n)
-        if deg[a] < cap1 and deg[b] < cap1 and deg[c] < cap1:
-            ac = a * n + c
-            bc = b * n + c
-            d_ab, d_ac, d_bc = count(ab, 0), count(ac, 0), count(bc, 0)
-            if d_ab < cap2 and d_ac < cap2 and d_bc < cap2:
-                deg[a] += 1
-                deg[b] += 1
-                deg[c] += 1
-                pairs[ab] = d_ab + 1
-                pairs[ac] = d_ac + 1
-                pairs[bc] = d_bc + 1
-                kept.append((vertex[a], vertex[b], vertex[c]))
+    for a in range(n):
+        bucket, buckets[a] = buckets[a], None  # freed once walked
+        an = a * n
+        for r in bucket:
+            if deg[a] >= cap1:
+                break
+            b, c = divmod(r, n)  # r = b * n + c is the pair code of (b, c)
+            if deg[b] < cap1 and deg[c] < cap1:
+                ab = an + b
+                ac = an + c
+                d_ab, d_ac, d_bc = count(ab, 0), count(ac, 0), count(r, 0)
+                if d_ab < cap2 and d_ac < cap2 and d_bc < cap2:
+                    deg[a] += 1
+                    deg[b] += 1
+                    deg[c] += 1
+                    pairs[ab] = d_ab + 1
+                    pairs[ac] = d_ac + 1
+                    pairs[r] = d_bc + 1
+                    kept.append((vertex[a], vertex[b], vertex[c]))
     return tuple(kept)
 
 
@@ -215,10 +207,10 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
     in a loop on random.Random(seed), each held as its code (core._code,
-    drawn by _kset_codes).  At k = 2 the distinct pairs a < b are kept as
-    one array("i") of the b's for each a (_pair_buckets), and otherwise
-    as a sorted list of codes (_first_distinct).  At k = 2 and k = 3 they
-    are kept by greedy_bounded_sub's rule in the same sorted order, with
+    drawn by _kset_codes).  At every k the distinct candidates are kept
+    in one bucket a vertex, the remainders of the codes whose least
+    vertex it is (_buckets).  At k = 2 and k = 3 the buckets are walked
+    in sorted order and trimmed by greedy_bounded_sub's rule, with
     degrees counted in a list and pair codegrees in a dict keyed by pair
     codes (_greedy_pairs, _greedy_triples), so no tuple is made for a
     candidate that is not kept, and at k = 2 none at all: the kept pairs
@@ -243,12 +235,13 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
     check_shape(n, k, target)
     codes = _kset_codes(random.Random(seed), n, k)
     caps = level_caps(n, k, delta_target)
+    buckets = _buckets(codes, n, k, target)
     if k == 2:
-        return Hypergraph(n, k, _greedy_pairs(n, _pair_buckets(codes, n, target), *caps))
-    ordered = _first_distinct(codes, target)
+        return Hypergraph(n, k, _greedy_pairs(n, buckets, *caps))
     if k == 3:
-        return Hypergraph(n, k, _greedy_triples(n, ordered, *caps))
-    h = Hypergraph(n, k, tuple(_decode(c, n, k) for c in ordered))
+        return Hypergraph(n, k, _greedy_triples(n, buckets, *caps))
+    h = Hypergraph(n, k, tuple((a, *_decode(r, n, k - 1))
+                               for a, bucket in enumerate(buckets) for r in bucket))
     return greedy_bounded_sub(h, delta_target)
 
 

@@ -187,19 +187,22 @@ class TestGenRandom:
             assert got == gen_random_edges(n, 2, delta, seed), (n, delta, seed)
 
     # both sides of the pool switch at 21 and of powers of two, wherever
-    # the target ceil(n^(1+2 delta)) is at most C(n, 3)
+    # the target ceil(n^(1+2 delta)) is at most C(n, 3); and both sides of
+    # n^2 = 2^31, where _buckets' store turns from array("i") to list
     @pytest.mark.parametrize("n, delta", [
-        (n, delta) for n in [21, 22, 31, 32, 33, 63, 64, 65, 200, 256, 257]
-        for delta in (0.0, 0.25, 0.4)
-        if math.ceil(n ** (1 + 2 * delta)) <= math.comb(n, 3)])
+        *((n, delta) for n in [21, 22, 31, 32, 33, 63, 64, 65, 200, 256, 257]
+          for delta in (0.0, 0.25, 0.4)
+          if math.ceil(n ** (1 + 2 * delta)) <= math.comb(n, 3)),
+        (46340, 0.0), (46341, 0.0)])
     def test_k3_route_matches_definition(self, n, delta):
         for seed in range(3):
             got = gen_random(n, 3, delta, 0.5, seed).edges
             assert got == gen_random_edges(n, 3, delta, seed), (n, delta, seed)
 
-    # k = 1 and k >= 4 decode the drawn codes for greedy_bounded_sub
+    # k = 1 and k >= 4 decode the drawn codes for greedy_bounded_sub; 215
+    # and 216 at k = 5 sit on both sides of n^4 = 2^31, the store switch
     @pytest.mark.parametrize("n, k", [(21, 1), (22, 1), (21, 4), (22, 4),
-                                      (40, 5), (86, 6)])
+                                      (40, 5), (215, 5), (216, 5), (86, 6)])
     def test_other_routes_match_definition(self, n, k):
         for delta in (0.0, 0.2):
             for seed in range(2):
@@ -466,6 +469,18 @@ class TestFileFormat:
             tracemalloc.stop()
         assert len(h) == 82571
         assert generated < 2 << 20 and read < 2 << 20
+        assert drawn < 5 << 20
+
+    def test_k3_draw_is_bucketed(self):
+        # 20,764 kept of 65,536 candidates: as a sorted list of int codes
+        # the draw peaked at 6.2 MB traced, in per-vertex buckets at 3.7 MB
+        tracemalloc.start()
+        try:
+            h = gen_random(256, 3, 0.5, None, 1)
+            drawn = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(h) == 20764
         assert drawn < 5 << 20
 
     @pytest.mark.parametrize("n", [2**31, 2**31 + 1, 2**70])
