@@ -97,7 +97,7 @@ def _bnb_max(edges: tuple[Edge, ...], caps: tuple[int, ...]) -> tuple[Edge, ...]
 
     def rec(i: int) -> None:
         nonlocal best_size, best_witness
-        if len(chosen) + (m - i) <= best_size and best_size > 0:
+        if len(chosen) + (m - i) <= best_size:
             return
         if i == m:
             if len(chosen) > best_size:

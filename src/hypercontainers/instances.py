@@ -203,7 +203,9 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
     """Random near-homogeneous instance: draw uniform k-sets until
     ceil(n^(1+(k-1)delta)) distinct candidates, then trim greedily to a
     delta_target-bounded subhypergraph.  Deterministic per seed.  n must
-    be below 2^32, and the candidate count at most 2^31.
+    be below 2^32.  A candidate count above 2^31 is refused before it is
+    formed; check_shape then caps it at 2^26 / (k 2^(k-1)) (2^24 at
+    k = 2), the cap that binds.
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
     in a loop on random.Random(seed), each held as its code (core._code,

@@ -23,8 +23,12 @@ def _run(sweep, monkeypatch, *argv):
 
 
 def test_sweep_passes_exit_0(sweep, monkeypatch, capsys):
-    assert _run(sweep, monkeypatch, "--trials", "2") == 0
-    assert "cond_iv = 2/2" in capsys.readouterr().out
+    # the default k=2 sweep, and a sampled k=3 one
+    for argv in [("--trials", "3"),
+                 ("--k", "3", "--n", "100", "--delta", "0.4", "--eps", "0.3",
+                  "--trials", "3", "--samples", "20")]:
+        assert _run(sweep, monkeypatch, *argv) == 0, argv
+        assert "cond_iv = 3/3" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--samples", "0"),
