@@ -8,7 +8,6 @@ from .core import (
     is_homogeneous,
     ldeg,
     log_size,
-    max_degree,
     nabla,
     new_hypergraph,
     vertex_fiber,
@@ -31,7 +30,6 @@ from .engine import (
 from .instances import FormatError, gen_ap, gen_random, read_edge_list, write_edge_list
 from .verify import (
     VerificationReport,
-    counting_bound,
     enumerate_independent_sets,
     sample_independent_set,
     sample_independent_sets,

@@ -188,10 +188,6 @@ class Hypergraph:
                      else max(self.degrees, default=0)
                      for ell in range(1, self.k))
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __len__(self) -> int:
         return len(self.edges) if self._flat is None else len(self._flat) // self.k
 
@@ -293,13 +289,6 @@ def codegrees(h: Hypergraph, ell: int) -> Counter[int]:
             codes = map(add, map(mul, codes, repeat(n)), col)
         counts.update(codes)
     return counts
-
-
-def max_degree(h: Hypergraph, ell: int) -> int:
-    """Delta_ell(h): maximum degree over all ell-sets (0 for empty h)."""
-    if not 1 <= ell < h.k:
-        raise HypergraphError(f"level {ell} out of range for k={h.k}")
-    return h.max_degrees[ell - 1]
 
 
 def ldeg(h: Hypergraph) -> float:

@@ -120,6 +120,10 @@ def sample_independent_sets(h: Hypergraph, count: int, seed: int):
 
 @dataclass
 class VerificationReport:
+    """The outcome of `verify`.  `print_containers` maps each distinct
+    print P to X \\ C_P, the vertices its container misses; the counting
+    fields are filled in by an enumerated run and are -1 otherwise."""
+
     n: int
     k: int
     edges: int
@@ -189,8 +193,12 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     respectively.
 
     The sets, each any iterable of vertices, are consumed once, in
-    order, and only the distinct prints and their containers are kept;
-    container_of is asked once per distinct print.
+    order, and only the distinct prints are kept, each with X \\ C for
+    its container C: (ii) is checked on C as container_of returns it,
+    once per distinct print, and every other check reads C through
+    X \\ C.  With enumerated set, the sets are all of them, and the
+    report carries the counting bound: their number against the sum over
+    distinct prints P of 2^|union(P) | C|.
     A set with a vertex that is not an integer or is outside X raises
     ValueError, and one that contains an edge NotIndependentError, when
     the loop reaches it.
@@ -204,7 +212,7 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     samples = 0
     cond_i = cond_ii = cond_iii = True
     iii_counter = ""
-    print_containers: dict[Print, frozenset[int]] = {}
+    print_containers: dict[Print, frozenset[int]] = {}  # print -> X \ C
     for iset in sets:
         try:
             iset = frozenset(map(index, iset))
@@ -232,8 +240,8 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
             continue
         if len(prnt) >= h.k or any(len(f) > pi_cap for f in prnt):
             cond_i = False
-        cont = print_containers.get(prnt)
-        if cont is None:
+        miss = print_containers.get(prnt)
+        if miss is None:
             try:
                 cont = ctx.container_of(prnt)
             except EngineError:
@@ -241,23 +249,25 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
                 continue
             if not cont <= x:
                 cond_ii = False
-            print_containers[prnt] = cont
+            miss = print_containers[prnt] = x - cont
+        # union(P) <= I <= union(P) | C, with C read through X \ C
         up = print_union(prnt)
-        if cond_iii and not up <= iset <= (up | cont):
+        if cond_iii and not (up <= iset and miss.isdisjoint(iset - up)):
             cond_iii = False
             iii_counter = (f"I={_set_str(iset)} P="
                            + "|".join(_set_str(f) for f in prnt)
-                           + f" C={_set_str(cont)}")
+                           + f" C={_set_str(x - miss)}")
 
-    # |X \ C| once per distinct container, sorted so that the mean sums in a fixed order
-    comp = {c: len(x - c) for c in sorted(set(print_containers.values()), key=sorted)}
-    comp_logs = [log_size(size, h.n) for size in comp.values()]
+    # the distinct containers in the order of sorted(C), so that the mean
+    # sums in a fixed order and (iv) names the least failing one
+    misses = sorted(set(print_containers.values()), key=lambda m: sorted(x - m))
+    comp_logs = [log_size(len(m), h.n) for m in misses]
     cond_iv = True
     iv_counter = ""
-    for (c, size), lv in zip(comp.items(), comp_logs):
-        if size < pow_ceil(h.n, 1 - p.sigma):
+    for miss, lv in zip(misses, comp_logs):
+        if len(miss) < pow_ceil(h.n, 1 - p.sigma):
             cond_iv = False
-            iv_counter = f"C={_set_str(c)} log_complement={_fmt(lv)}"
+            iv_counter = f"C={_set_str(x - miss)} log_complement={_fmt(lv)}"
             break
 
     # container-size diagnostic for non-expanding top-level prints
@@ -266,17 +276,17 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     diag_quarter = "na"
     if h.k >= 2:
         quarter_ok = True
-        for prnt, cont in print_containers.items():
+        for prnt, miss in print_containers.items():
             if len(prnt) == 1 and not ctx.fingerprint_expanding(prnt[0]):
                 diag_n += 1
-                size = comp[cont]
+                size = len(miss)
                 diag_min = size if diag_min < 0 else min(diag_min, size)
                 # |X \ C| >= n^(1-eps) / 4
                 quarter_ok &= 4 * size >= pow_ceil(h.n, 1 - p.eps)
         if diag_n and p.hyp_eps_ok and p.hyp_pi_ok:
             diag_quarter = "true" if quarter_ok else "false"
 
-    report = VerificationReport(
+    return VerificationReport(
         n=h.n,
         k=h.k,
         edges=len(h),
@@ -294,30 +304,16 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         cond_iv=cond_iv,
         cond_iii_counterexample=iii_counter,
         cond_iv_counterexample=iv_counter,
-        containers_distinct=len(comp),
+        containers_distinct=len(misses),
         complement_log_min=min(comp_logs, default=NEG_INF),
         complement_log_max=max(comp_logs, default=NEG_INF),
         complement_log_mean=(sum(comp_logs) / len(comp_logs)) if comp_logs else NEG_INF,
         diag_nonexpanding_prints=diag_n,
         diag_min_complement=diag_min,
         diag_quarter_ok=diag_quarter,
+        counting_lhs=samples if enumerated else -1,
+        # |union(P) | C| = n - |(X \ C) \ union(P)|
+        counting_rhs=sum(2 ** (h.n - len(miss - print_union(prnt)))
+                         for prnt, miss in print_containers.items()) if enumerated else -1,
         print_containers=print_containers,
     )
-    if enumerated:
-        report.counting_lhs, report.counting_rhs = counting_bound(report)
-    return report
-
-
-def counting_bound(report: VerificationReport) -> tuple[int, int]:
-    """Container counting argument: number of independent sets vs the sum
-    over distinct prints P of 2^|union(P) | C_P|.
-
-    Only meaningful after a fully enumerated run.
-    """
-    if report.method != "enumeration":
-        raise RuntimeError("counting bound requires a fully enumerated run")
-    lhs = report.samples
-    rhs = 0
-    for prnt, cont in report.print_containers.items():
-        rhs += 2 ** len(print_union(prnt) | cont)
-    return lhs, rhs

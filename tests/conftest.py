@@ -62,7 +62,7 @@ def low_degree_singletons(h: Hypergraph, count: int = 40) -> list[set[int]]:
     """{v} for the first count vertices of degree 1 to 3.  At k=2 with a
     large n each stays a non-expanding print, so its container comes
     from H^-."""
-    return [{v} for v in h.vertices if 1 <= h.degrees[v] <= 3][:count]
+    return [{v} for v in range(h.n) if 1 <= h.degrees[v] <= 3][:count]
 
 
 def all_ell_subsets(h: Hypergraph, ell: int):

@@ -65,7 +65,8 @@ def test_criterion_01_base_case_exactness():
         rep = verify(ctx, sets)
         assert rep.all_conditions_pass()
         assert rep.containers_distinct == 1
-        assert rep.print_containers == {(): frozenset(range(n)) - set(covered)}
+        # the one container X \ covered, stored as X \ C = covered
+        assert rep.print_containers == {(): frozenset(covered)}
     assert time.monotonic() - start < 1.0
 
 

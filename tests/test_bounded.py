@@ -17,7 +17,6 @@ from hypercontainers.core import (
     Hypergraph,
     is_bounded,
     level_caps,
-    max_degree,
     new_hypergraph,
     vertex_fiber,
 )
@@ -114,7 +113,7 @@ def test_k2_one_matching_solve_per_call(monkeypatch):
     seen = set()
     for _ in range(40):
         h = _random_graph(rng)
-        binds = max_degree(h, 1) > level_caps(h.n, h.k, 0.35)[0]
+        binds = h.max_degrees[0] > level_caps(h.n, h.k, 0.35)[0]
         seen.add(binds)
         for op in (max_bounded_sub, max_bounded_size):
             calls.clear()

@@ -21,7 +21,6 @@ from hypercontainers.core import (
     ldeg,
     level_caps,
     log_size,
-    max_degree,
     nabla,
     new_hypergraph,
     pow_ceil,
@@ -259,18 +258,18 @@ class TestDegrees:
             degree(STAR, {9})
 
     def test_max_degree_star(self):
-        assert max_degree(STAR, 1) == 3
+        assert STAR.max_degrees[0] == 3
 
     def test_max_degree_empty(self):
-        assert max_degree(new_hypergraph(4, 2, []), 1) == 0
+        assert new_hypergraph(4, 2, []).max_degrees[0] == 0
 
     def test_max_degree_pairs(self):
         h = new_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
-        assert max_degree(h, 2) == 2
+        assert h.max_degrees[1] == 2
 
     def test_level_out_of_range(self):
-        with pytest.raises(HypergraphError):
-            max_degree(STAR, 2)
+        # one entry per level 1..k-1: none for level k = 2
+        assert len(STAR.max_degrees) == 1
 
     @pytest.mark.parametrize("k,edges", [(2, [(0, 1), (0, 2), (3, 4)]),
                                          (3, [(0, 1, 2), (0, 1, 3), (2, 4, 5)]),
@@ -297,7 +296,7 @@ class TestDegrees:
                                       for ell in range(1, h.k))
         # each per-vertex index against the edges through v, read off h.edges
         assert len(h.degrees) == len(h.incidence) == h.n
-        for v in h.vertices:
+        for v in range(h.n):
             through = tuple(e for e in h.edges if v in e)
             assert h.incidence[v] == through
             assert h.degrees[v] == len(through)
@@ -417,7 +416,7 @@ def test_fiber_is_union_of_links(h):
 def test_ldeg_is_least_bound(h):
     d = ldeg(h)
     assert is_bounded(h, d)
-    if h.k >= 2 and any(max_degree(h, ell) >= 2 for ell in range(1, h.k)):
+    if h.k >= 2 and any(d >= 2 for d in h.max_degrees):
         # ldeg is tight: shaving enough to flip a degree comparison fails
         assert not is_bounded(h, d - 0.05)
 
@@ -476,4 +475,4 @@ def test_degree_matches_naive_recount(h):
                 naive[u] = naive.get(u, 0) + 1
         for u, d in naive.items():
             assert degree(h, u) == d
-        assert max_degree(h, ell) == max(naive.values(), default=0)
+        assert h.max_degrees[ell - 1] == max(naive.values(), default=0)

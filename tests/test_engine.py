@@ -567,10 +567,13 @@ def test_containers_share_the_vertex_pool():
     # low-degree singletons; every vertex is the pool's own int object
     h = gen_random(16384, 2, 0.25, 0.3, 1)
     ctx = EngineContext(h, derive_params(h.k, 0.75, 0.3, h.n), mode="strict")
-    sets = [*sample_independent_sets(h, 8, 1), *low_degree_singletons(h, 2)]
-    rep = verify(ctx, sets)
+    sampled = list(sample_independent_sets(h, 8, 1))
+    rep = verify(ctx, [*sampled, *low_degree_singletons(h, 2)])
     assert rep.all_conditions_pass() and rep.diag_nonexpanding_prints == 2
     assert len(rep.print_containers) > 2
+    # a sampled set's container misses about n^0.25 vertices, and only
+    # those are kept: fewer than n^0.5 a print, where C itself is ~n
+    assert all(len(rep.print_containers[ctx.print_of(s)]) < math.isqrt(h.n) for s in sampled)
     pool = vertex_pool(h.n)
     assert all(v is pool[v] for c in rep.print_containers.values() for v in c)
     assert all(v is pool[v] for nb in h.neighbours for v in nb)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import low_degree_singletons
-from hypercontainers.core import Hypergraph, new_hypergraph, pow_ceil, pow_floor
+from hypercontainers.core import Hypergraph, log_size, new_hypergraph, pow_ceil, pow_floor
 from hypercontainers.engine import (
     EngineContext,
     EngineError,
@@ -23,7 +23,6 @@ from hypercontainers.instances import gen_random, read_edge_list, write_edge_lis
 from hypercontainers.verify import (
     EnumerationCapError,
     _shuffled,
-    counting_bound,
     enumerate_independent_sets,
     sample_independent_set,
     sample_independent_sets,
@@ -354,7 +353,7 @@ class _StubContext:
         return (frozenset(),)
 
     def container_of(self, prnt):
-        return frozenset(self.h.vertices)
+        return frozenset(range(self.h.n))
 
     def fingerprint_expanding(self, f):
         return False
@@ -505,6 +504,29 @@ def test_condition_i_at_a_tie(size, ok):
     assert (rep.cond_i, rep.cond_ii, rep.cond_iii, rep.cond_iv) == (ok, True, True, True)
 
 
+class _ComplementPrint(_StubContext):
+    """Stub that prints I as (I,) with the container X \\ I."""
+
+    def print_of(self, iset):
+        return (iset,)
+
+    def container_of(self, prnt):
+        return frozenset(range(self.h.n)) - prnt[0]
+
+
+def test_cond_iv_names_the_least_container():
+    # four containers met with complements {1}, {2}, {5,6,7} and {5}, each
+    # under n^(1-sigma) ~ 5.9: (iv) names the least by sorted(C), which is
+    # neither the least complement ({1}) nor the greatest ({5})
+    h = Hypergraph(8, 2, ())
+    params = derive_params(2, 0.5, 0.05, 8)
+    assert pow_ceil(8, 1 - params.sigma) == 6
+    rep = verify(_ComplementPrint(h, params), [{1}, {2}, {5, 6, 7}, {5}])
+    assert (rep.cond_iii, rep.cond_iv, rep.containers_distinct) == (True, False, 4)
+    assert rep.cond_iv_counterexample == (
+        f"C={{0,1,2,3,4}} log_complement={log_size(3, 8):.12g}")
+
+
 @cache
 def _hminus_k2_instance():
     return gen_random(16384, 2, 0.25, 0.3, 1)
@@ -520,7 +542,7 @@ def test_mutant_growing_a_container(left, flips):
     ctx = EngineContext(h, derive_params(2, 0.75, 0.3, h.n), mode="strict")
     sets = low_degree_singletons(h)
     target = ctx.print_of(sets[0])
-    x = frozenset(h.vertices)
+    x = frozenset(range(h.n))
     rep = verify(_Mutant(ctx, target, lambda c: x - set(sorted(x - c)[-left:])), sets)
     assert _flipped(rep, "random16384_k2_hminus") == flips
     assert rep.diag_min_complement == left
@@ -544,13 +566,6 @@ class TestCountingBound:
         h = gen_random(12, 2, 0.2, 0.6, seed=3)
         _ctx, rep = _run(h, 0.8, 0.6)
         assert rep.counting_lhs <= rep.counting_rhs
-
-    def test_requires_enumeration(self):
-        h = gen_random(12, 2, 0.2, 0.6, seed=3)
-        ctx = EngineContext(h, derive_params(2, 0.8, 0.6, 12))
-        rep = verify(ctx, sample_independent_sets(h, 5, seed=0), enumerated=False)
-        with pytest.raises(RuntimeError):
-            counting_bound(rep)
 
 
 class TestReportFormat:
