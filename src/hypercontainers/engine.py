@@ -14,12 +14,12 @@ or a t-subset of high degree in H_F.  Each such edge passes through a
 vertex H_F covers, so H^ is gathered there, and deg_H-(x) is deg_H(x)
 minus the edges of H^ through x; H^- itself is never built.
 
-Both print_of and container_of are pure functions of (hypergraph,
+Both print_of and complement_of are pure functions of (hypergraph,
 parameters, mode): every choice point is resolved by canonical vertex or
 edge order.  |H_F|_delta' is memoized by the vertices of F that H covers,
 the only ones H_F depends on, and the child contexts on the G_F by F.
-Every container is built from core.vertex_pool, so the containers of a
-run share one int object per vertex.
+The container relation, complement_of, returns X \\ C, the form the
+complement bound reads; container_of spells C out from core.vertex_pool.
 """
 from __future__ import annotations
 
@@ -261,9 +261,9 @@ class EngineContext:
         return {e for e in near
                 if any(u in marked for t in range(1, h.k) for u in combinations(e, t))}
 
-    def container_of(self, prnt: Print) -> frozenset[int]:
-        """The container of a print.  Partial: defined on the image of
-        print_of (in X; length 0 only at k = 1, length >= 1 at k >= 2)."""
+    def complement_of(self, prnt: Print) -> frozenset[int]:
+        """X \\ C for the container C of a print.  Partial: defined on the
+        image of print_of (in X; length 0 only at k = 1, >= 1 at k >= 2)."""
         prnt = tuple(map(frozenset, prnt))
         h, p = self.h, self.params
         outside = [v for v in chain.from_iterable(prnt) if not 0 <= v < h.n]
@@ -272,20 +272,23 @@ class EngineContext:
         if h.k == 1:
             if len(prnt) != 0:
                 raise PrintDomainError("only the empty print is valid at k = 1")
-            return frozenset(filterfalse(h.covered_vertices().__contains__, vertex_pool(h.n)))
+            return h.covered_vertices()
         if len(prnt) == 0:
             raise PrintDomainError("empty print is outside the domain at k >= 2")
         f0 = prnt[0]
         if self.fingerprint_expanding(f0):
-            return self.child_for(f0).container_of(prnt[1:])
+            return self.child_for(f0).complement_of(prnt[1:])
         if len(prnt) > 1:
-            raise PrintDomainError(
-                "non-expanding first fingerprint with a non-trivial tail")
-        # keep x iff deg_H-(x) < n^tau, i.e. < cap, where deg_H-(x) is
+            raise PrintDomainError("non-expanding first fingerprint with a non-trivial tail")
+        # drop x iff deg_H-(x) >= n^tau, i.e. >= cap, where deg_H-(x) is
         # deg_H(x) - lost(x), the edges of H^ through x
         lost = Counter(chain.from_iterable(self.h_minus(f0)))
         cap = pow_ceil(h.n, (p.k - 1) * p.delta_p - p.eps_tilde)
-        return frozenset(x for x, d in zip(vertex_pool(h.n), h.degrees) if d - lost[x] < cap)
+        return frozenset(x for x, d in zip(vertex_pool(h.n), h.degrees) if d - lost[x] >= cap)
+
+    def container_of(self, prnt: Print) -> frozenset[int]:
+        """The container C of a print: X minus complement_of(prnt)."""
+        return frozenset(filterfalse(self.complement_of(prnt).__contains__, vertex_pool(self.h.n)))
 
 
 def print_union(prnt: Print) -> frozenset[int]:

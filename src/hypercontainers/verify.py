@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import index
 
 from .core import (Hypergraph, NEG_INF, is_bounded, is_homogeneous, ldeg, log_size,
@@ -186,17 +186,16 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
 
     (i) every supplied set receives a print (witnessed extensionally) of
     at most k - 1 fingerprints, each of at most n^pi vertices;
-    (ii) every produced print receives a container C <= X; (iii) the
-    sandwich union(P) <= I <= union(P) | C, zero tolerance; (iv) every
-    distinct container C has log_n|X \\ C| >= 1 - sigma.  A set whose
-    print_of or container_of raises EngineError fails (i) or (ii)
-    respectively.
+    (ii) every produced print receives a container C, given as X \\ C <= X;
+    (iii) the sandwich union(P) <= I <= union(P) | C, zero tolerance; (iv)
+    every distinct container C has log_n|X \\ C| >= 1 - sigma.  A set whose
+    print_of or complement_of raises EngineError fails (i) or (ii) respectively.
 
     The sets, each any iterable of vertices, are consumed once, in
-    order, and only the distinct prints are kept, each with X \\ C for
-    its container C: (ii) is checked on C as container_of returns it,
-    once per distinct print, and every other check reads C through
-    X \\ C.  With enumerated set, the sets are all of them, and the
+    order, and only the distinct prints are kept, each with X \\ C as
+    complement_of returns it, once per distinct print: every check reads
+    C through X \\ C, and neither X nor C is built but to be printed or
+    ordered.  With enumerated set, the sets are all of them, and the
     report carries the counting bound: their number against the sum over
     distinct prints P of 2^|union(P) | C|.
     A set with a vertex that is not an integer or is outside X raises
@@ -207,12 +206,13 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
     h, p = ctx.h, ctx.params
-    x = frozenset(vertex_pool(h.n))
     pi_cap = pow_floor(h.n, p.pi)  # |F| <= n^pi
     samples = 0
     cond_i = cond_ii = cond_iii = True
     iii_counter = ""
     print_containers: dict[Print, frozenset[int]] = {}  # print -> X \ C
+    def container(miss):  # C in ascending order, built only to be printed or ordered
+        return filterfalse(miss.__contains__, vertex_pool(h.n))
     for iset in sets:
         try:
             iset = frozenset(map(index, iset))
@@ -243,31 +243,30 @@ def verify(ctx, sets, enumerated: bool = False, jobs: int = 1) -> VerificationRe
         miss = print_containers.get(prnt)
         if miss is None:
             try:
-                cont = ctx.container_of(prnt)
+                miss = print_containers[prnt] = ctx.complement_of(prnt)
             except EngineError:
                 cond_ii = False
                 continue
-            if not cont <= x:
+            if miss and (min(miss) < 0 or max(miss) >= h.n):
                 cond_ii = False
-            miss = print_containers[prnt] = x - cont
         # union(P) <= I <= union(P) | C, with C read through X \ C
         up = print_union(prnt)
         if cond_iii and not (up <= iset and miss.isdisjoint(iset - up)):
             cond_iii = False
             iii_counter = (f"I={_set_str(iset)} P="
                            + "|".join(_set_str(f) for f in prnt)
-                           + f" C={_set_str(x - miss)}")
+                           + f" C={_set_str(container(miss))}")
 
     # the distinct containers in the order of sorted(C), so that the mean
     # sums in a fixed order and (iv) names the least failing one
-    misses = sorted(set(print_containers.values()), key=lambda m: sorted(x - m))
+    misses = sorted(set(print_containers.values()), key=lambda m: list(container(m)))
     comp_logs = [log_size(len(m), h.n) for m in misses]
     cond_iv = True
     iv_counter = ""
     for miss, lv in zip(misses, comp_logs):
         if len(miss) < pow_ceil(h.n, 1 - p.sigma):
             cond_iv = False
-            iv_counter = f"C={_set_str(x - miss)} log_complement={_fmt(lv)}"
+            iv_counter = f"C={_set_str(container(miss))} log_complement={_fmt(lv)}"
             break
 
     # container-size diagnostic for non-expanding top-level prints

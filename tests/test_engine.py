@@ -442,26 +442,34 @@ class TestContainerOf:
         assert EngineContext(h, p).container_of((frozenset(),)) == set(range(h.n))
 
     def test_container_matches_brute_force_formula(self):
-        # independent evaluation of the removal + threshold formula
+        # independent evaluation of the removal + threshold formula, for
+        # the container and for X \ C as complement_of returns it
         h = gen_random(12, 2, 0.3, 0.6, seed=13)
         ctx = _ctx(h, 0.7, 0.6)
+        routes = set()
         for iset in list(enumerate_independent_sets(h))[::13]:
             prnt = ctx.print_of(iset)
             c = ctx.container_of(prnt)
+            m = ctx.complement_of(prnt)
             level, tail = ctx, prnt
             while level.fingerprint_expanding(tail[0]) if tail else False:
                 level = level.child_for(tail[0])
                 tail = tail[1:]
+            routes.add(len(tail))
             if not tail:  # k = 1 base of the recursion
                 assert c == frozenset(range(h.n)) - level.h.covered_vertices()
+                assert m == level.h.covered_vertices()
                 continue
             f = tail[0]
             hm, _ = h_minus(level, f)
             p = level.params
+            tau = (p.k - 1) * p.delta_p - p.eps_tilde
             expect = {x for x in range(h.n)
-                      if cmp_log(sum(1 for e in hm.edges if x in e),
-                                 (p.k - 1) * p.delta_p - p.eps_tilde, h.n) < 0}
+                      if cmp_log(sum(1 for e in hm.edges if x in e), tau, h.n) < 0}
             assert c == expect
+            assert m == {x for x in range(h.n)
+                         if cmp_log(sum(1 for e in hm.edges if x in e), tau, h.n) >= 0}
+        assert routes == {0, 1}
 
     def test_container_independent_of_source_set(self):
         h = gen_random(10, 2, 0.2, 0.6, seed=21)
@@ -563,8 +571,9 @@ def test_one_oracle_call_per_covered_fingerprint(monkeypatch):
 
 def test_containers_share_the_vertex_pool():
     # the strict k = 2 regime (sigma = 0.9) through both container routes:
-    # the k = 1 base X \ covered for the sampled sets, H^- for the
-    # low-degree singletons; every vertex is the pool's own int object
+    # the k = 1 base (X \ C the covered vertices) for the sampled sets,
+    # H^- for the low-degree singletons; every vertex of every X \ C is
+    # the pool's own int object
     h = gen_random(16384, 2, 0.25, 0.3, 1)
     ctx = EngineContext(h, derive_params(h.k, 0.75, 0.3, h.n), mode="strict")
     sampled = list(sample_independent_sets(h, 8, 1))

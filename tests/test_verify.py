@@ -341,7 +341,7 @@ class TestVerify:
 
 
 class _StubContext:
-    """Engine stand-in returning C = X for every print."""
+    """Engine stand-in returning C = X, so X \\ C = {}, for every print."""
 
     def __init__(self, h, params):
         self.h = h
@@ -352,8 +352,8 @@ class _StubContext:
     def print_of(self, iset):
         return (frozenset(),)
 
-    def container_of(self, prnt):
-        return frozenset(range(self.h.n))
+    def complement_of(self, prnt):
+        return frozenset()
 
     def fingerprint_expanding(self, f):
         return False
@@ -371,7 +371,7 @@ def test_checker_catches_stub_engine():
 
 
 class _FailingContext(_StubContext):
-    """Stub whose print_of or container_of raises for sets containing 0."""
+    """Stub whose print_of or complement_of raises for sets containing 0."""
 
     def __init__(self, h, params, failing):
         super().__init__(h, params)
@@ -382,14 +382,14 @@ class _FailingContext(_StubContext):
             raise EngineError("stub print_of failed")
         return (frozenset(iset),)
 
-    def container_of(self, prnt):
-        if self.failing == "container_of" and 0 in prnt[0]:
-            raise EngineError("stub container_of failed")
-        return frozenset()
+    def complement_of(self, prnt):
+        if self.failing == "complement_of" and 0 in prnt[0]:
+            raise EngineError("stub complement_of failed")
+        return frozenset(range(self.h.n))
 
 
 @pytest.mark.parametrize("failing, cond", [("print_of", "cond_i"),
-                                           ("container_of", "cond_ii")])
+                                           ("complement_of", "cond_ii")])
 def test_engine_error_fails_condition(failing, cond):
     h = new_hypergraph(8, 2, [(0, 1), (2, 3)])
     # pi = 1, so that the stub's print (I,) has a valid shape
@@ -421,8 +421,8 @@ def _braces(s) -> str:
 
 
 class _Mutant:
-    """The real engine, except that the container of the print target
-    is replaced by mutate(container)."""
+    """The real engine, except that X \\ C for the print target is
+    replaced by mutate(X \\ C)."""
 
     def __init__(self, ctx, target, mutate):
         self.ctx, self.target, self.mutate = ctx, target, mutate
@@ -430,9 +430,9 @@ class _Mutant:
     def __getattr__(self, name):
         return getattr(self.ctx, name)
 
-    def container_of(self, prnt):
-        c = self.ctx.container_of(prnt)
-        return self.mutate(c) if prnt == self.target else c
+    def complement_of(self, prnt):
+        m = self.ctx.complement_of(prnt)
+        return self.mutate(m) if prnt == self.target else m
 
 
 def test_mutant_dropping_a_vertex_of_i_fails_iii():
@@ -443,7 +443,7 @@ def test_mutant_dropping_a_vertex_of_i_fails_iii():
     sets = list(sample_independent_sets(h, 20, 0))
     target = ctx.print_of(sets[0])
     v = min(sets[0] - print_union(target))
-    rep = verify(_Mutant(ctx, target, lambda c: c - {v}), sets)
+    rep = verify(_Mutant(ctx, target, lambda m: m | {v}), sets)
     assert _flipped(rep, "random2048_k2_strict") == {"cond_iii"}
     assert rep.cond_iii_counterexample == (
         f"I={_braces(sets[0])} P=" + "|".join(map(_braces, target))
@@ -451,18 +451,18 @@ def test_mutant_dropping_a_vertex_of_i_fails_iii():
 
 
 def test_mutant_container_outside_x_fails_ii():
-    # the random2048_k2_strict run with a vertex outside X added to the
-    # container of one print
+    # the random2048_k2_strict run with a vertex outside X added to X \ C
+    # for one print
     h = gen_random(2048, 2, 0.25, 0.4, 1)
     ctx = EngineContext(h, derive_params(2, 0.75, 0.4, h.n), mode="strict")
     sets = list(sample_independent_sets(h, 20, 0))
-    rep = verify(_Mutant(ctx, ctx.print_of(sets[0]), lambda c: c | {h.n}), sets)
+    rep = verify(_Mutant(ctx, ctx.print_of(sets[0]), lambda m: m | {h.n}), sets)
     assert _flipped(rep, "random2048_k2_strict") == {"cond_ii"}
 
 
 class _WholeSetPrint(_StubContext):
     """Stub whose print of I is cut from I itself and whose container is
-    empty, with every fingerprint called expanding (so no H^- diagnostic
+    empty (X \\ C = X), with every fingerprint called expanding (so no H^- diagnostic
     applies): the sandwich and the complement bound hold trivially, and
     only the shape of the print is wrong."""
 
@@ -473,8 +473,8 @@ class _WholeSetPrint(_StubContext):
     def print_of(self, iset):
         return self.cut(iset)
 
-    def container_of(self, prnt):
-        return frozenset()
+    def complement_of(self, prnt):
+        return frozenset(range(self.h.n))
 
     def fingerprint_expanding(self, f):
         return True
@@ -510,8 +510,8 @@ class _ComplementPrint(_StubContext):
     def print_of(self, iset):
         return (iset,)
 
-    def container_of(self, prnt):
-        return frozenset(range(self.h.n)) - prnt[0]
+    def complement_of(self, prnt):
+        return prnt[0]
 
 
 def test_cond_iv_names_the_least_container():
@@ -542,11 +542,28 @@ def test_mutant_growing_a_container(left, flips):
     ctx = EngineContext(h, derive_params(2, 0.75, 0.3, h.n), mode="strict")
     sets = low_degree_singletons(h)
     target = ctx.print_of(sets[0])
-    x = frozenset(range(h.n))
-    rep = verify(_Mutant(ctx, target, lambda c: x - set(sorted(x - c)[-left:])), sets)
+    rep = verify(_Mutant(ctx, target, lambda m: frozenset(sorted(m)[-left:])), sets)
     assert _flipped(rep, "random16384_k2_hminus") == flips
     assert rep.diag_min_complement == left
     assert bool(rep.cond_iv_counterexample) == ("cond_iv" in flips)
+
+
+def test_verify_builds_neither_x_nor_a_container():
+    # the k2-strict-n16384 benchmark's instance and sets: each X \ C has
+    # about n^0.25 vertices, where X, or a container C of about n vertices
+    # kept a print, would cost about a MB apiece
+    h = _hminus_k2_instance()
+    ctx = EngineContext(h, derive_params(2, 0.75, 0.3, h.n), mode="strict")
+    sets = list(sample_independent_sets(h, 8, 1))
+    h.neighbours  # the draw's index, built before tracing starts
+    tracemalloc.start()
+    try:
+        rep = verify(ctx, sets)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.all_conditions_pass() and rep.samples == 8
+    assert peak < 2 << 20
 
 
 class TestCountingBound:
