@@ -35,7 +35,7 @@ _NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 
 # random.sample's switch for k <= 5: a pool up to this n, a set above
 _SAMPLE_SETSIZE = 21
-# 32-bit words _kset_codes takes from one getrandbits call
+# 32-bit words _kset_pairs takes from one getrandbits call
 _BLOCK_WORDS = 4096
 # gen_random draws at most 2^this many candidates: far above any instance
 # in use, and below a target whose candidates would exhaust memory
@@ -51,34 +51,42 @@ def _pool_max(k: int) -> int:
     return setsize
 
 
-def _word_block(rng: random.Random) -> array:
-    """The next _BLOCK_WORDS 32-bit outputs of rng, in the order that
-    getrandbits(32) would return them one by one: getrandbits(32 * W)
-    holds W of them, least significant first."""
+def _word_blocks(rng: random.Random, shift: int) -> Iterator[array]:
+    """Endless blocks of the next _BLOCK_WORDS 32-bit outputs of rng, each
+    shifted right by shift, in the order that getrandbits(32) would return
+    them one by one: getrandbits(32 * W) holds W of them, least
+    significant first, so one shift of that int moves each word's high
+    bits down its lane, and one mask, built once, of the low 32 - shift
+    bits of every lane drops the bits shifted in from the next word."""
     nbytes = 4 * _BLOCK_WORDS
-    return array("I", rng.getrandbits(8 * nbytes).to_bytes(nbytes, "little"))
+    lane = ((1 << 32 - shift) - 1).to_bytes(4, "little")
+    mask = int.from_bytes(lane * _BLOCK_WORDS, "little")
+    while True:
+        words = rng.getrandbits(8 * nbytes) >> shift & mask
+        yield array("I", words.to_bytes(nbytes, "little"))
 
 
-def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
-    """Endless codes (core._code) of the k-sets
-    tuple(sorted(rng.sample(range(n), k))) draws, for n < 2^32.
+def _kset_pairs(rng: random.Random, n: int, k: int) -> Iterator[tuple[int, int]]:
+    """Endless (least vertex, remainder) pairs of the k-sets
+    e = tuple(sorted(rng.sample(range(n), k))) draws, for n < 2^32: the
+    pair (e[0], _code(e[1:], n)), which is divmod(_code(e, n), n^(k-1)).
 
     Up to _pool_max(k), where sample draws from a shrinking pool, the
     sets are sample's own.  Above it sample draws getrandbits(bits) with
     bits = n.bit_length() <= 32, which is the next 32-bit Mersenne word
-    shifted right by 32 - bits, so the words are read in blocks
-    (_word_block) and those out of range skipped.  The in-range values
+    shifted right by 32 - bits, so the words are read in shifted blocks
+    (_word_blocks) and those out of range skipped.  The in-range values
     come in draw order; each set takes the next k of them, and if some
     repeat, the set drops the repeats and takes further values, skipping
     those it holds, as sample redraws them.  The last block is drawn past
     the last word used, so rng must not be drawn from again."""
     if n <= _pool_max(k):
         while True:
-            yield _code(sorted(rng.sample(range(n), k)), n)
+            e = sorted(rng.sample(range(n), k))
+            yield e[0], _code(e[1:], n)
     shift = 32 - n.bit_length()
-    limit = n << shift
-    values = chain.from_iterable(iter(
-        lambda: [w >> shift for w in _word_block(rng) if w < limit], None))
+    values = chain.from_iterable(
+        [v for v in block if v < n] for block in _word_blocks(rng, shift))
 
     def complete(s: tuple[int, ...]) -> list[int]:
         taken = list(dict.fromkeys(s))
@@ -88,11 +96,11 @@ def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
                 taken.append(v)
         return taken
 
-    if k == 2:  # the k = 2 and k = 3 routes: sorted and coded inline
+    if k == 2:  # the k = 2 and k = 3 routes: sorted and split inline
         for a, b in zip(values, values):
             if a == b:
                 a, b = complete((a, b))
-            yield a * n + b if a < b else b * n + a
+            yield (a, b) if a < b else (b, a)
     elif k == 3:
         for a, b, c in zip(values, values, values):
             if a == b or a == c or b == c:
@@ -103,38 +111,36 @@ def _kset_codes(rng: random.Random, n: int, k: int) -> Iterator[int]:
                 b, c = c, b
                 if b < a:
                     a, b = b, a
-            yield (a * n + b) * n + c
+            yield a, b * n + c
     else:
         for s in zip(*[values] * k):
             if len(set(s)) < k:
                 s = complete(s)
-            yield _code(sorted(s), n)
+            e = sorted(s)
+            yield e[0], _code(e[1:], n)
 
 
-def _buckets(codes: Iterator[int], n: int, k: int, target: int) -> list:
-    """The first target distinct codes (core._code) of codes, held as one
-    bucket a vertex: bucket a holds the remainders c - a * n^(k-1) of the
-    codes c whose least vertex is a, ascending.  A bucket is an
+def _buckets(pairs: Iterator[tuple[int, int]], n: int, k: int, target: int) -> list:
+    """The first target distinct (least vertex, remainder) pairs of
+    pairs (_kset_pairs), held as one bucket a vertex: bucket a holds the
+    remainders r of the pairs (a, r), ascending.  A bucket is an
     array("i") while n^(k-1) <= 2^31, so that every remainder fits, and a
     list above that.
 
     Each bucket is sorted and deduplicated once after the first target
-    codes; then, while d are missing, the next d codes are drawn, of which
+    pairs; then, while d are missing, the next d pairs are drawn, of which
     at most d are new, and each new one is inserted in place, so the
-    buckets are complete exactly where a set of the codes would reach
+    buckets are complete exactly where a set of the pairs would reach
     target."""
-    width = n ** (k - 1)
-    store = partial(array, "i") if width <= 1 << 31 else list
+    store = partial(array, "i") if n ** (k - 1) <= 1 << 31 else list
     buckets = [store() for _ in range(n)]
-    for c in islice(codes, target):
-        a, r = divmod(c, width)
+    for a, r in islice(pairs, target):
         buckets[a].append(r)
     for a, bucket in enumerate(buckets):
         buckets[a] = store(sorted(set(bucket)))
     missing = target - sum(map(len, buckets))
     while missing:
-        for c in islice(codes, missing):
-            a, r = divmod(c, width)
+        for a, r in islice(pairs, missing):
             bucket = buckets[a]
             i = bisect_left(bucket, r)
             if i == len(bucket) or bucket[i] != r:
@@ -208,16 +214,17 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
     k = 2), the cap that binds.
 
     Candidates are exactly tuple(sorted(rng.sample(range(n), k))) drawn
-    in a loop on random.Random(seed), each held as its code (core._code,
-    drawn by _kset_codes).  At every k the distinct candidates are kept
-    in one bucket a vertex, the remainders of the codes whose least
-    vertex it is (_buckets).  At k = 2 and k = 3 the buckets are walked
-    in sorted order and trimmed by greedy_bounded_sub's rule, with
-    degrees counted in a list and pair codegrees in a dict keyed by pair
-    codes (_greedy_pairs, _greedy_triples), so no tuple is made for a
-    candidate that is not kept, and at k = 2 none at all: the kept pairs
-    form the hypergraph's flat edge array.  At k = 1 and k >= 4 the codes
-    are decoded to tuples and trimmed by greedy_bounded_sub itself.
+    in a loop on random.Random(seed), each drawn by _kset_pairs as its
+    least vertex and the code (core._code) of the rest, its remainder.
+    At every k the distinct candidates are kept in one bucket a vertex,
+    the remainders of those whose least vertex it is (_buckets).  At
+    k = 2 and k = 3 the buckets are walked in sorted order and trimmed by
+    greedy_bounded_sub's rule, with degrees counted in a list and pair
+    codegrees in a dict keyed by pair codes (_greedy_pairs,
+    _greedy_triples), so no tuple is made for a candidate that is not
+    kept, and at k = 2 none at all: the kept pairs form the hypergraph's
+    flat edge array.  At k = 1 and k >= 4 the remainders are decoded to
+    tuples and trimmed by greedy_bounded_sub itself.
     eps_target is not read: the output does not depend on it.
     """
     check_shape(n, k)
@@ -235,9 +242,8 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
     check_shape(n, k, target)
-    codes = _kset_codes(random.Random(seed), n, k)
     caps = level_caps(n, k, delta_target)
-    buckets = _buckets(codes, n, k, target)
+    buckets = _buckets(_kset_pairs(random.Random(seed), n, k), n, k, target)
     if k == 2:
         return Hypergraph(n, k, _greedy_pairs(n, buckets, *caps))
     if k == 3:

@@ -84,10 +84,11 @@ def sample_independent_set(h: Hypergraph, seed: int) -> frozenset[int]:
     if h.k == 2:
         nb = h.neighbours
         blocked: set[int] = set()
-        for v in order:
-            if v not in blocked:
-                taken.add(v)
-                blocked.update(nb[v])
+        # filterfalse tests each v against blocked as it grows, so the body
+        # runs only for the vertices taken
+        for v in filterfalse(blocked.__contains__, order):
+            taken.add(v)
+            blocked.update(nb[v])
         return frozenset(taken)
     for v in order:
         taken.add(v)

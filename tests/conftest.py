@@ -22,7 +22,7 @@ def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             f"sys.path.insert(0, {str(SRC)!r})\n"
             "from hypercontainers import instances\n"
-            "instances._kset_codes = None\n")
+            "instances._kset_pairs = None\n")
     return subprocess.run([sys.executable, "-c", head + code, *args],
                           capture_output=True, text=True, timeout=600, check=False)
 

@@ -43,7 +43,7 @@ class TestGen:
     def test_random_n_too_large(self, tmp_path, capsys, monkeypatch):
         # each is refused before any candidate is drawn: the last asks for
         # about 10^14 of them, which would exhaust memory
-        monkeypatch.setattr(instances, "_kset_codes", None)
+        monkeypatch.setattr(instances, "_kset_pairs", None)
         out = tmp_path / "x.hg"
         for args, err in [
                 (("--n", str(2**32), "--k", "2"), "need n < 2^32, got 4294967296"),

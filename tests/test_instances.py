@@ -23,10 +23,10 @@ from hypercontainers.instances import (
     FormatError,
     _bulk_vertices,
     _code,
-    _kset_codes,
+    _kset_pairs,
     _line_checked_edges,
     _pool_max,
-    _word_block,
+    _word_blocks,
     gen_ap,
     gen_random,
     read_edge_list,
@@ -116,7 +116,7 @@ class TestGenRandom:
             gen_random(4, 2, 1.0, 0.5, seed=0)  # 4^2 = 16 > C(4,2) = 6
 
     # random.sample keeps a pool for n <= 21 (k <= 5) and n <= 85 (k = 6..8)
-    # and a set of taken values above; up to the switch _kset_codes calls
+    # and a set of taken values above; up to the switch _kset_pairs calls
     # sample itself, so it leaves rng where sample does
     @pytest.mark.parametrize("n", [*range(2, 31), 84, 85])
     def test_ksets_draw_as_sample(self, n):
@@ -125,8 +125,9 @@ class TestGenRandom:
                 continue
             for seed in range(3):
                 ours, theirs = random.Random(seed), random.Random(seed)
-                got = list(islice(_kset_codes(ours, n, k), 50))
-                want = [_code(e, n) for e in islice(sample_ksets(theirs, n, k), 50)]
+                got = list(islice(_kset_pairs(ours, n, k), 50))
+                want = [divmod(_code(e, n), n ** (k - 1))
+                        for e in islice(sample_ksets(theirs, n, k), 50)]
                 assert got == want, (n, k, seed)
                 assert ours.getstate() == theirs.getstate(), (n, k, seed)
 
@@ -143,31 +144,39 @@ class TestGenRandom:
                 continue
             draws = 2000 if k == 2 else 500
             for seed in range(3):
-                got = list(islice(_kset_codes(random.Random(seed), n, k), draws))
-                want = [_code(e, n) for e in
+                got = list(islice(_kset_pairs(random.Random(seed), n, k), draws))
+                want = [divmod(_code(e, n), n ** (k - 1)) for e in
                         islice(sample_ksets(random.Random(seed), n, k), draws)]
                 assert got == want, (n, k, seed)
 
-    # the k=2 branch of _kset_codes as pairs: n.bit_length() from 5 to 32,
+    # the k=2 branch of _kset_pairs as pairs: n.bit_length() from 5 to 32,
     # at and beside powers of two
     @pytest.mark.parametrize("n", [22, 31, 32, 33, 2**15, 2**15 + 1, 2**31 + 1,
                                    2**32 - 1])
     def test_pair_codes_draw_as_sample(self, n):
         for seed in range(2):
-            got = list(islice(_kset_codes(random.Random(seed), n, 2), 2000))
-            want = [a * n + b for a, b in
+            got = list(islice(_kset_pairs(random.Random(seed), n, 2), 2000))
+            want = [divmod(_code(e, n), n) for e in
                     islice(sample_ksets(random.Random(seed), n, 2), 2000)]
             assert got == want, (n, seed)
 
     def test_word_block_is_getrandbits_32(self):
         for seed in range(3):
             ours, theirs = random.Random(seed), random.Random(seed)
-            for _ in range(2):
-                block = _word_block(ours)
+            for block in islice(_word_blocks(ours, 0), 2):
                 assert block.itemsize == 4
                 assert list(block) == [theirs.getrandbits(32)
                                        for _ in range(_BLOCK_WORDS)], seed
             assert ours.getstate() == theirs.getstate(), seed
+
+    # the draw shifts by 32 - n.bit_length(), 0 to 27 above the pool switch
+    @pytest.mark.parametrize("shift", range(28))
+    def test_shifted_word_block(self, shift):
+        ours, theirs = random.Random(shift), random.Random(shift)
+        for block in islice(_word_blocks(ours, shift), 2):
+            assert list(block) == [theirs.getrandbits(32) >> shift
+                                   for _ in range(_BLOCK_WORDS)]
+        assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_n_at_least_2_to_32(self, k):
@@ -243,6 +252,30 @@ class TestFileFormat:
         path = tmp_path / "c.hg"
         path.write_text("# generated\n# fixture\n2 4 1\n0 1\n")
         assert read_edge_list(path).edges == ((0, 1),)
+
+    # only the body's characters are checked, so a non-ASCII comment keeps
+    # the flat k = 2 read
+    def test_non_ascii_comment_keeps_flat_read(self, tmp_path):
+        path = tmp_path / "c.hg"
+        path.write_text("# généré\n2 4 2\n0 1\n1 2\n", encoding="utf-8")
+        h = read_edge_list(path)
+        assert h._flat is not None
+        assert h.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("text", ["2 4 2\n0 1\n1 2", "2 4 2\n\n0 1\n1 2\n"],
+                             ids=["no-final-lf", "opening-lf"])
+    def test_body_ends(self, tmp_path, text):
+        path = tmp_path / "e.hg"
+        path.write_text(text)
+        h = read_edge_list(path)
+        assert h._flat is not None
+        assert h.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("text", ["2 4 0", "2 4 0\n"])
+    def test_no_edges(self, tmp_path, text):
+        path = tmp_path / "e.hg"
+        path.write_text(text)
+        assert read_edge_list(path) == new_hypergraph(4, 2, [])
 
     @pytest.mark.parametrize("text", ["2 4 2\n\n0 1\n\n\n\n1 2\n\n", "2 4 2\n\n\n1 2\n0 1",
                                       "# c\n2 4 2\n0 1\n\n\n1 2\n\n\n"])
