@@ -8,6 +8,7 @@ hypergraphs always produce identical files.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -237,11 +238,12 @@ def gen_random(n: int, k: int, delta_target: float, eps_target: float | None,
         raise HypergraphError(
             f"target edge count {n}^{exponent:g} is above 2^{_TARGET_BITS}")
     target = math.ceil(n ** exponent)
+    # before the binomial, which takes seconds at n and k near 2^20
+    check_shape(n, k, target)
     total = comb(n, k)
     if target > total:
         raise HypergraphError(
             f"target edge count {target} exceeds binomial({n},{k}) = {total}")
-    check_shape(n, k, target)
     caps = level_caps(n, k, delta_target)
     buckets = _buckets(_kset_pairs(random.Random(seed), n, k), n, k, target)
     if k == 2:
@@ -320,6 +322,8 @@ def read_edge_list(path) -> Hypergraph:
     if found != m:
         raise FormatError(f"header promises {m} edges, found {found} lines")
     check_shape(n, k, m)
+    if not m:  # no body: skip _bulk_vertices' line template of k bytes
+        return Hypergraph(n, k, ())
     flat = _bulk_vertices(body, k, n)
     if flat is None:
         edges = _line_checked_edges(body.split("\n"), k, n)
@@ -337,8 +341,6 @@ def read_edge_list(path) -> Hypergraph:
     return Hypergraph(n, k, tuple(edges))
 
 
-# after _bulk_vertices' character check, a leading 0 follows a space or an LF
-_LEADING_ZERO = re.compile(rb"[ \n]0[0-9]")
 # _bulk_vertices parses slices of whole lines of about this many bytes, so
 # that no token or int is held for more than one slice at a time
 _CHUNK_BYTES = 1 << 16
@@ -365,11 +367,13 @@ def _bulk_vertices(body: str, k: int, n: int) -> array | list[int] | None:
         # and any other character (a '+', a tab, a CR, ...) in its place
         if raw.translate(None, b"0123456789-") != (line_seps * (raw.count(b"\n") + 1))[:-1]:
             return None
-        if b"-0" in raw or _LEADING_ZERO.search(b"\n" + raw):
+        # JSON's integers -?(0|[1-9][0-9]*) are the str() of an int, or -0
+        if b"-0" in raw:
             return None
         try:
-            # the same tokens as each line's split(" ")
-            vals = list(map(int, raw.replace(b"\n", b" ").split(b" ")))
+            # the same tokens as each line's split(" "), as one JSON array;
+            # ValueError covers a bad token and the int digit limit
+            vals = json.loads(b"[" + raw.replace(b"\n", b",").replace(b" ", b",") + b"]")
         except ValueError:
             return None
         chunk = [vals[i::k] for i in range(k)]

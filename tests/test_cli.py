@@ -181,6 +181,14 @@ class TestVerify:
         capsys.readouterr()
         assert report.read_text().startswith("n = 10\n")
 
+    def test_no_edges_at_an_index_sized_k_exit_2(self, tmp_path, capsys):
+        # k does not fit a C index, so a line template of k bytes overflowed
+        path = tmp_path / "e.hg"
+        path.write_text("10000000000000000000 4 0")
+        assert run("verify", "--input", str(path), "--pi", "0.5", "--eps", "0.5") == 2
+        assert capsys.readouterr().err == (
+            "error: need 3^(k-1) to fit a float, got k = 10000000000000000000\n")
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         assert run("verify", "--input", str(tmp_path / "nope.hg"),
                    "--pi", "0.5", "--eps", "0.5") == 2

@@ -115,6 +115,14 @@ class TestGenRandom:
         with pytest.raises(HypergraphError):
             gen_random(4, 2, 1.0, 0.5, seed=0)  # 4^2 = 16 > C(4,2) = 6
 
+    def test_subset_slots_refused_before_the_binomial(self):
+        # comb(2^20, 2^19) alone takes seconds
+        with mock.patch.object(instances, "comb", side_effect=AssertionError("comb called")):
+            with pytest.raises(HypergraphError) as info:
+                gen_random(2**20, 2**19, 0.0, None, 1)
+        assert str(info.value) == (
+            "need m k 2^(k-1) <= 2^26 subset slots, got m = 1048576, k = 524288")
+
     # random.sample keeps a pool for n <= 21 (k <= 5) and n <= 85 (k = 6..8)
     # and a set of taken values above; up to the switch _kset_pairs calls
     # sample itself, so it leaves rng where sample does
@@ -277,6 +285,20 @@ class TestFileFormat:
         path.write_text(text)
         assert read_edge_list(path) == new_hypergraph(4, 2, [])
 
+    def test_no_edges_at_a_large_k(self, tmp_path):
+        # no edges, but a line template of k bytes and a zip of k
+        # iterators peaked at 22.9 MiB traced here (229 MiB at k = 10^7)
+        path = tmp_path / "e.hg"
+        path.write_text("1000000 4 0")
+        tracemalloc.start()
+        try:
+            h = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (h.n, h.k, len(h)) == (4, 1000000, 0)
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("text", ["2 4 2\n\n0 1\n\n\n\n1 2\n\n", "2 4 2\n\n\n1 2\n0 1",
                                       "# c\n2 4 2\n0 1\n\n\n1 2\n\n\n"])
     def test_empty_lines_skipped(self, tmp_path, text):
@@ -420,7 +442,8 @@ class TestFileFormat:
 
     # mostly lines of k values from -1 to n, sorted or not, some spelled in
     # a way int() takes but str() does not, among lines of any arity with
-    # tokens that int() takes or refuses
+    # tokens that int() takes or refuses, and that JSON takes or refuses:
+    # -0, exponents, fractions, literals, and digits past int()'s limit
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_bulk_check_agrees_with_line_rules(self, data):
@@ -429,7 +452,9 @@ class TestFileFormat:
         spelling = st.sampled_from(["{}"] * 3 + ["-{}", "0{}", "+{}", "{}\t", " {}", "{}\r"])
         spelt = st.tuples(values.map(sorted), st.lists(spelling, min_size=k, max_size=k))
         token = st.one_of(st.integers(-1, n).map(str),
-                          st.sampled_from(["-0", "1_0", "", "\u0663"]))
+                          st.sampled_from(["-0", "1_0", "", "\u0663", "00", "-", "--1", "1-2",
+                                           "-01", "1e3", "1.0", "NaN", "Infinity",
+                                           "1" + "0" * 4999]))
         line = st.one_of(
             spelt.map(lambda vs: " ".join(f.format(v) for v, f in zip(*vs))),
             spelt.map(lambda vs: " ".join(map(str, vs[0]))),
@@ -445,6 +470,17 @@ class TestFileFormat:
         with mock.patch.object(instances, "_CHUNK_BYTES", chunk):
             flat = _bulk_vertices("\n".join(lines), k, n)
         assert (None if flat is None else list(edge_tuples(flat, k))) == want
+
+    # tokens that JSON and str() could read differently, each refused by
+    # both checks, in a slice that is valid without it
+    @pytest.mark.parametrize("token", ["-0", "00", "-", "--1", "1-2", "-01", "1e3", "1.0",
+                                       "NaN", "Infinity", "1" + "0" * 4999],
+                             ids=lambda t: t if len(t) < 9 else f"{len(t)}-digits")
+    def test_bulk_check_refuses_what_json_could_take(self, token):
+        lines = ["0 1", f"0 {token}", "1 2"]
+        with pytest.raises(FormatError):
+            _line_checked_edges(lines, 2, 12)
+        assert _bulk_vertices("\n".join(lines), 2, 12) is None
 
     # a file of many slices, with each kind of bad line in the last one
     @pytest.mark.parametrize("bad, error, message", [
@@ -483,7 +519,9 @@ class TestFileFormat:
         # the benchmark's k = 2 instance, 82,571 edges: as edge tuples it
         # retained 5.5 MB, as one array("i") of its vertices 0.66 MB.  Its
         # 185,364 candidates peaked at 10.25 MB as a sorted list of int
-        # codes, and at 2.4 MB in per-vertex buckets
+        # codes, and at 2.4 MB in per-vertex buckets.  The read parses a
+        # slice at a time and peaked at 2.8 MiB; its 165,142 vertices as
+        # ints at once would take about 6 MB
         path = tmp_path / "h.hg"
         tracemalloc.start()
         try:
@@ -491,14 +529,16 @@ class TestFileFormat:
             generated, drawn = tracemalloc.get_traced_memory()
             write_edge_list(h, path)
             del h
+            tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             h = read_edge_list(path)
-            read = tracemalloc.get_traced_memory()[0] - before
+            read, read_peak = (t - before for t in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert len(h) == 82571
         assert generated < 2 << 20 and read < 2 << 20
         assert drawn < 5 << 20
+        assert read_peak < 4 << 20
 
     def test_k3_draw_is_bucketed(self):
         # 20,764 kept of 65,536 candidates: as a sorted list of int codes
