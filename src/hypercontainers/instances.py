@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from array import array
 from bisect import bisect_left
 from functools import partial
@@ -27,11 +26,6 @@ from .core import (Edge, Hypergraph, HypergraphError, _code, _decode, check_shap
 
 class FormatError(ValueError):
     pass
-
-
-# In text whose tokens int() accepts, these mark a token that is not the
-# str() of its value: '+', '_', whitespace, a non-ASCII digit, a leading 0.
-_NONCANONICAL = re.compile(r"[^0-9 \n-]|-0|(?<![0-9])0[0-9]")
 
 
 # random.sample's switch for k <= 5: a pool up to this n, a set above
@@ -263,9 +257,11 @@ def gen_ap(n: int, k: int) -> Hypergraph:
         raise HypergraphError(f"k must be >= 3 for AP instances, got {k}")
     if n < k:
         raise HypergraphError(f"need n >= k, got n={n}, k={k}")
-    steps = range(1, (n - 1) // (k - 1) + 1)
-    check_shape(n, k, sum(n - (k - 1) * d for d in steps))
-    edges = [tuple(range(a, a + k * d, d)) for d in steps for a in range(n - (k - 1) * d)]
+    top = (n - 1) // (k - 1)  # the largest step
+    # the edge count in closed form, so that a huge n is refused at once
+    check_shape(n, k, n * top - (k - 1) * top * (top + 1) // 2)
+    edges = [tuple(range(a, a + k * d, d))
+             for d in range(1, top + 1) for a in range(n - (k - 1) * d)]
     return Hypergraph(n, k, tuple(sorted(edges)))
 
 
@@ -304,15 +300,10 @@ def read_edge_list(path) -> Hypergraph:
         end = len(text)
     header, body = text[start:end], text[end + 1:]
     del text
-    parts = header.split(" ")
-    if len(parts) != 3 or _NONCANONICAL.search(header):
+    kmn = _canonical_ints(header.encode(), 3)
+    if kmn is None or kmn[2] < 0:
         raise FormatError(f"malformed header: {header!r}")
-    try:
-        k, n, m = (int(p) for p in parts)
-    except ValueError as exc:
-        raise FormatError(f"malformed header: {header!r}") from exc
-    if m < 0:
-        raise FormatError(f"malformed header: {header!r}")
+    k, n, m = kmn
     check_shape(n, k)
     # drop the empty lines: the body becomes its non-empty lines joined by LF
     while "\n\n" in body:
@@ -322,23 +313,41 @@ def read_edge_list(path) -> Hypergraph:
     if found != m:
         raise FormatError(f"header promises {m} edges, found {found} lines")
     check_shape(n, k, m)
-    if not m:  # no body: skip _bulk_vertices' line template of k bytes
+    if not m:  # no body: skip _canonical_ints' line template of k bytes
         return Hypergraph(n, k, ())
     flat = _bulk_vertices(body, k, n)
     if flat is None:
-        edges = _line_checked_edges(body.split("\n"), k, n)
-    elif (k == 2 and isinstance(flat, array)
-          and all(map(lt, zip(flat[0::2], flat[1::2]), zip(flat[2::2], flat[3::2])))):
+        raise _line_fault(body.split("\n"), k, n)
+    if (k == 2 and isinstance(flat, array)
+            and all(map(lt, zip(flat[0::2], flat[1::2]), zip(flat[2::2], flat[3::2])))):
         # pairs in strictly ascending order are canonical and distinct
         return Hypergraph(n, k, flat)
-    else:
-        edges = list(edge_tuples(flat, k))
-    edges.sort()
+    edges = sorted(edge_tuples(flat, k))
     # every line is canonical, so the least repeated edge prints as its line
     dup = next(compress(edges, map(eq, edges, edges[1:])), None)
     if dup is not None:
         raise FormatError(f"duplicate edge: {' '.join(map(str, dup))!r}")
     return Hypergraph(n, k, tuple(edges))
+
+
+def _canonical_ints(raw: bytes, k: int) -> list[int] | None:
+    """The values of raw, lines of k tokens joined by LF with one space
+    between tokens, in order; None unless raw is that and each token is
+    the str() of its value.  This is the format's one token rule."""
+    # deleting digits and '-' leaves each line's k - 1 spaces and its LF,
+    # and any other character (a '+', a tab, a CR, ...) in its place
+    seps = b" " * (k - 1) + b"\n"
+    if raw.translate(None, b"0123456789-") != (seps * (raw.count(b"\n") + 1))[:-1]:
+        return None
+    # JSON's integers -?(0|[1-9][0-9]*) are the str() of an int, or -0
+    if b"-0" in raw:
+        return None
+    try:
+        # the tokens as one JSON array; ValueError covers a bad token
+        # (empty, '--1', '1-2', '01') and the int digit limit
+        return json.loads(b"[" + raw.replace(b"\n", b",").replace(b" ", b",") + b"]")
+    except ValueError:
+        return None
 
 
 # _bulk_vertices parses slices of whole lines of about this many bytes, so
@@ -348,33 +357,18 @@ _CHUNK_BYTES = 1 << 16
 
 def _bulk_vertices(body: str, k: int, n: int) -> array | list[int] | None:
     """The vertices of the lines of body, line after line in file order,
-    or None if _line_checked_edges would reject a line.  Each check runs
-    over a slice of lines at once, so a rejected body is passed on to name
-    the line.  They are held in an array("i") while n <= 2^31, so that
-    every vertex fits, and in a list above that."""
-    if not body.isascii():
-        return None
-    line_seps = b" " * (k - 1) + b"\n"
+    or None if a line breaks a rule (_line_fault names it).  Each check
+    runs over a slice of lines at once.  They are held in an array("i")
+    while n <= 2^31, so that every vertex fits, and in a list above that."""
     flat = array("i") if n <= 1 << 31 else []
     start = 0
     while start < len(body):
         end = body.find("\n", start + _CHUNK_BYTES)
         if end < 0:
             end = len(body)
-        raw = body[start:end].encode("ascii")
+        vals = _canonical_ints(body[start:end].encode(), k)
         start = end + 1
-        # deleting digits and '-' leaves each line's k - 1 spaces and its LF,
-        # and any other character (a '+', a tab, a CR, ...) in its place
-        if raw.translate(None, b"0123456789-") != (line_seps * (raw.count(b"\n") + 1))[:-1]:
-            return None
-        # JSON's integers -?(0|[1-9][0-9]*) are the str() of an int, or -0
-        if b"-0" in raw:
-            return None
-        try:
-            # the same tokens as each line's split(" "), as one JSON array;
-            # ValueError covers a bad token and the int digit limit
-            vals = json.loads(b"[" + raw.replace(b"\n", b",").replace(b" ", b",") + b"]")
-        except ValueError:
+        if vals is None:
             return None
         chunk = [vals[i::k] for i in range(k)]
         if not all(all(map(lt, c, d)) for c, d in zip(chunk, chunk[1:])):
@@ -385,28 +379,23 @@ def _bulk_vertices(body: str, k: int, n: int) -> array | list[int] | None:
     return flat
 
 
-def _line_checked_edges(lines: list[str], k: int, n: int) -> list[Edge]:
-    """The edges of lines, checked line by line to name the first that
-    fails: malformed, wrong arity, unsorted or out of range, then the
-    first non-canonical token anywhere."""
-    edges = []
+def _line_fault(lines: list[str], k: int, n: int) -> FormatError | HypergraphError | None:
+    """The error for the first line of lines that fails, checked line by
+    line: malformed, wrong arity, unsorted or out of range; then the first
+    line whose tokens are not canonical (_canonical_ints); None if every
+    line passes, which is when _bulk_vertices takes them."""
     for ln in lines:
         try:
             e = tuple(map(int, ln.split(" ")))
-        except ValueError as exc:
-            raise FormatError(f"malformed edge line: {ln!r}") from exc
+        except ValueError:
+            return FormatError(f"malformed edge line: {ln!r}")
         if len(e) != k:
-            raise FormatError(f"edge line has {len(e)} vertices, expected {k}: {ln!r}")
+            return FormatError(f"edge line has {len(e)} vertices, expected {k}: {ln!r}")
         if not all(map(lt, e, e[1:])):
-            raise FormatError(f"unsorted or repeated vertices in edge line: {ln!r}")
+            return FormatError(f"unsorted or repeated vertices in edge line: {ln!r}")
         if e[0] < 0 or e[-1] >= n:
-            raise HypergraphError(f"edge {e} has a vertex outside [0, {n})")
-        edges.append(e)
-    # int() took every token, so one that is not str() of its value shows
-    # as a character other than a digit, a space or a sign, or a leading 0
-    text = "\n".join(lines)
-    bad = _NONCANONICAL.search(text)
-    if bad:
-        ln = lines[text.count("\n", 0, bad.start())]
-        raise FormatError(f"non-canonical vertex token in edge line: {ln!r}")
-    return edges
+            return HypergraphError(f"edge {e} has a vertex outside [0, {n})")
+    for ln in lines:
+        if _canonical_ints(ln.encode(), k) is None:
+            return FormatError(f"non-canonical vertex token in edge line: {ln!r}")
+    return None

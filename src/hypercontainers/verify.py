@@ -28,9 +28,10 @@ class EnumerationCapError(RuntimeError):
 def enumerate_independent_sets(h: Hypergraph, cap: int = DEFAULT_ENUM_CAP):
     """Yield every H-independent subset of X (as frozensets).
 
-    Backtracks over vertices in ascending order; an edge is tested
-    exactly when its largest vertex is added, so each step is O(edges
-    ending at that vertex).
+    Backtracks over vertices in ascending order, leaving a vertex out
+    before taking it, on an explicit stack of the branches still to take,
+    so no n is too deep; an edge is tested exactly when its largest
+    vertex is added, so each step is O(edges ending at that vertex).
     """
     if h.n > cap:
         raise EnumerationCapError(f"n={h.n} exceeds enumeration cap {cap}")
@@ -38,22 +39,17 @@ def enumerate_independent_sets(h: Hypergraph, cap: int = DEFAULT_ENUM_CAP):
     for idx, e in enumerate(h.edges):
         by_max.setdefault(e[-1], []).append(idx)
     masks = [sum(1 << v for v in e) for e in h.edges]
-
-    def rec(v: int, cur_mask: int, cur: list[int]):
-        if v == h.n:
-            yield frozenset(cur)
-            return
-        yield from rec(v + 1, cur_mask, cur)
-        new_mask = cur_mask | (1 << v)
-        for idx in by_max.get(v, ()):
-            if masks[idx] & new_mask == masks[idx]:
-                break
-        else:
-            cur.append(v)
-            yield from rec(v + 1, new_mask, cur)
-            cur.pop()
-
-    yield from rec(0, 0, [])
+    stack = [(0, 0, ())]  # (next vertex, mask of the set, the set ascending)
+    while stack:
+        start, cur_mask, cur = stack.pop()
+        for v in range(start, h.n):
+            new_mask = cur_mask | (1 << v)
+            for idx in by_max.get(v, ()):
+                if masks[idx] & new_mask == masks[idx]:
+                    break
+            else:
+                stack.append((v + 1, new_mask, cur + (v,)))
+        yield frozenset(cur)
 
 
 def _shuffled(n: int, rng: random.Random) -> list[int]:

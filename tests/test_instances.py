@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 from unittest import mock
@@ -24,7 +26,7 @@ from hypercontainers.instances import (
     _bulk_vertices,
     _code,
     _kset_pairs,
-    _line_checked_edges,
+    _line_fault,
     _pool_max,
     _word_blocks,
     gen_ap,
@@ -32,8 +34,26 @@ from hypercontainers.instances import (
     read_edge_list,
     write_edge_list,
 )
-from conftest import hypergraphs, run_limited
+from conftest import SRC, hypergraphs, run_limited
 from reference import gen_random_edges, sample_ksets
+
+
+def format_edges(lines, k, n):
+    """The edges of lines by the file format's definition, or None if some
+    line is not an edge line: k tokens, each token t with
+    t == str(int(t)), the values strictly ascending, all in [0, n)."""
+    edges = []
+    for ln in lines:
+        tokens = ln.split(" ")
+        try:
+            e = tuple(map(int, tokens))
+        except ValueError:
+            return None
+        if (len(e) != k or list(map(str, e)) != tokens
+                or any(a >= b for a, b in zip(e, e[1:])) or not all(0 <= v < n for v in e)):
+            return None
+        edges.append(e)
+    return edges
 
 
 def brute_ap_count(n, k):
@@ -74,6 +94,28 @@ class TestGenAp:
         # 83 edges of 40 vertices, 83 40 2^39 subset slots
         with pytest.raises(HypergraphError, match="got m = 83, k = 40"):
             gen_ap(100, 40)
+
+    # at k >= 27 a single edge is past the subset-slot guard, so the
+    # refusal names the edge count the guard was given
+    @pytest.mark.parametrize("k", [27, 28, 31])
+    def test_refusal_names_the_edge_count(self, k):
+        for n in range(k, 4 * k):
+            with pytest.raises(HypergraphError) as info:
+                gen_ap(n, k)
+            assert f"got m = {brute_ap_count(n, k)}, k = {k}" in str(info.value)
+
+    def test_huge_n_refused_at_once(self):
+        # the edge count is not summed over the 5 * 10^11 steps first
+        code = ("import sys\n"
+                f"sys.path.insert(0, {str(SRC)!r})\n"
+                "from hypercontainers.instances import gen_ap\n"
+                "gen_ap(10 ** 12, 3)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().endswith(
+            "HypergraphError: need m k 2^(k-1) <= 2^26 subset slots, "
+            "got m = 249999999999500000000000, k = 3")
 
 
 class TestGenRandom:
@@ -385,7 +427,7 @@ class TestFileFormat:
             read_edge_list(path)
         assert repr(line) in str(info.value)
 
-    @pytest.mark.parametrize("header", ["+2 4 1", "2 04 1", "2 4 1\t"])
+    @pytest.mark.parametrize("header", ["+2 4 1", "2 04 1", "2 4 1\t", "-0 4 1"])
     def test_noncanonical_header(self, tmp_path, header):
         path = tmp_path / "bad.hg"
         path.write_text(f"{header}\n0 1\n", encoding="utf-8")
@@ -463,13 +505,16 @@ class TestFileFormat:
         lines = data.draw(st.lists(line.filter(bool), max_size=5))
         # slices of one line each, of a few lines, and of the whole body
         chunk = data.draw(st.sampled_from([1, 4, instances._CHUNK_BYTES]))
-        try:
-            want = _line_checked_edges(lines, k, n)
-        except (FormatError, HypergraphError):
-            want = None
         with mock.patch.object(instances, "_CHUNK_BYTES", chunk):
             flat = _bulk_vertices("\n".join(lines), k, n)
-        assert (None if flat is None else list(edge_tuples(flat, k))) == want
+        assert (None if flat is None else list(edge_tuples(flat, k))) == format_edges(lines, k, n)
+        # one parser: the line walk names a fault for each body refused, and
+        # only for those
+        fault = _line_fault(lines, k, n)
+        if flat is None:
+            assert isinstance(fault, (FormatError, HypergraphError))
+        else:
+            assert fault is None
 
     # tokens that JSON and str() could read differently, each refused by
     # both checks, in a slice that is valid without it
@@ -478,8 +523,7 @@ class TestFileFormat:
                              ids=lambda t: t if len(t) < 9 else f"{len(t)}-digits")
     def test_bulk_check_refuses_what_json_could_take(self, token):
         lines = ["0 1", f"0 {token}", "1 2"]
-        with pytest.raises(FormatError):
-            _line_checked_edges(lines, 2, 12)
+        assert type(_line_fault(lines, 2, 12)) is FormatError
         assert _bulk_vertices("\n".join(lines), 2, 12) is None
 
     # a file of many slices, with each kind of bad line in the last one

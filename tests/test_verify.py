@@ -44,6 +44,15 @@ class TestEnumeration:
         h = new_hypergraph(2, 1, [(0,)])
         assert set(enumerate_independent_sets(h)) == {frozenset(), frozenset({1})}
 
+    def test_leaves_a_vertex_out_before_taking_it(self):
+        h = new_hypergraph(3, 2, [(0, 1)])
+        assert list(enumerate_independent_sets(h)) == [
+            frozenset(), {2}, {1}, {1, 2}, {0}, {0, 2}]
+
+    def test_past_the_recursion_limit(self):
+        h = new_hypergraph(1100, 1, [(v,) for v in range(1100)])
+        assert list(enumerate_independent_sets(h, cap=1100)) == [frozenset()]
+
     def test_cap(self):
         h = new_hypergraph(25, 2, [])
         with pytest.raises(EnumerationCapError):
